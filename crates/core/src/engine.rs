@@ -423,28 +423,23 @@ pub struct EddyExecutor {
 
 impl EddyExecutor {
     /// Instantiate the query (paper §2.2 steps 1–4) and seed the scans
-    /// (step 5).
+    /// at virtual time 0 (step 5).
     pub fn build(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Result<Self> {
-        Self::build_inner(catalog, query, config, true)
+        let mut exec = Self::build_unseeded(catalog, query, config)?;
+        exec.seed_scans(0);
+        Ok(exec)
     }
 
-    /// Instantiate without seeding the scans: the query server drives
-    /// every scan itself (one shared scan per source, fanned out to all
-    /// interested queries) and feeds this executor through
-    /// [`Self::deliver_folded_wave`] / [`Self::deliver_raw_wave`].
+    /// Instantiate without seeding the scans. The query server builds
+    /// every query this way: it either seeds the private scans at the
+    /// admission instant ([`Self::seed_scans`]) or drives the scans itself
+    /// (one shared scan per source, fanned out to all interested queries)
+    /// and feeds this executor through [`Self::deliver_folded_wave`] /
+    /// [`Self::deliver_raw_wave`].
     pub(crate) fn build_unseeded(
         catalog: &Catalog,
         query: &QuerySpec,
         config: ExecConfig,
-    ) -> Result<Self> {
-        Self::build_inner(catalog, query, config, false)
-    }
-
-    fn build_inner(
-        catalog: &Catalog,
-        query: &QuerySpec,
-        config: ExecConfig,
-        seed_scans: bool,
     ) -> Result<Self> {
         config
             .validate()
@@ -517,21 +512,27 @@ impl EddyExecutor {
             reply_set: ProbeReplySet::new(),
             config,
         };
-        // Step 5: seed tuples to the scans. Emission chunks are capped at
-        // the routing batch size — a larger burst would only be split
-        // again at ingestion. An unseeded executor still clamps (the
-        // server mirrors the chunking on its shared scans).
+        // Emission chunks are capped at the routing batch size — a larger
+        // burst would only be split again at ingestion (the server clamps
+        // its shared scans the same way).
         let batch_size = exec.config.batch_size;
-        for &mid in exec.layout.scan_mids.clone().iter() {
+        for &mid in &exec.layout.scan_mids {
             if let Module::ScanAm(scan) = &mut exec.modules[mid] {
                 scan.clamp_chunk(batch_size);
-                if seed_scans {
-                    exec.agenda
-                        .push(scan.first_emit_time(), Event::ScanEmit(mid));
-                }
             }
         }
         Ok(exec)
+    }
+
+    /// Step 5: seed tuples to the scans, with every scan's first emission
+    /// scheduled relative to virtual time `at`.
+    pub(crate) fn seed_scans(&mut self, at: Time) {
+        for &mid in &self.layout.scan_mids {
+            if let Module::ScanAm(scan) = &self.modules[mid] {
+                self.agenda
+                    .push(at + scan.first_emit_time(), Event::ScanEmit(mid));
+            }
+        }
     }
 
     /// Run to completion and produce the report.
@@ -552,14 +553,9 @@ impl EddyExecutor {
         let Some((t, ev)) = self.agenda.pop() else {
             return false;
         };
-        self.now = t;
         self.events += 1;
-        if let Some(max) = self.config.max_time {
-            if self.now > max {
-                self.halted = true;
-                self.timed_out = true;
-                return false;
-            }
+        if !self.advance_to(t) {
+            return false;
         }
         if self.events > self.config.max_events {
             self.violations
@@ -576,6 +572,22 @@ impl EddyExecutor {
             }
             Event::AmResponse(mid, key) => self.on_am_response(mid, key),
             Event::AmReplyWave(mid, tuples) => self.on_am_reply_wave(mid, tuples),
+        }
+        true
+    }
+
+    /// Move the clock to `t` under the `max_time` guard — the one deadline
+    /// check for stepped agenda events and server-delivered waves alike.
+    /// Past the deadline the executor halts as timed out with `now` at the
+    /// reap point (so `end_time` records when the deadline was detected),
+    /// and the caller drops the event or wave: no work is done after the
+    /// guard trips. Returns whether the caller may proceed.
+    fn advance_to(&mut self, t: Time) -> bool {
+        self.now = t;
+        if self.config.max_time.is_some_and(|max| t > max) {
+            self.halted = true;
+            self.timed_out = true;
+            return false;
         }
         true
     }
@@ -659,6 +671,14 @@ impl EddyExecutor {
         if !self.rt[mid].queue.is_empty() {
             self.agenda.push(self.now, Event::Start(mid));
         }
+        self.after_build(deliveries, unparks);
+    }
+
+    /// The post-build step shared by completed module envelopes and
+    /// server-built (folded) scan waves: sample total SteM memory if a
+    /// build happened, route the emitted tuples, then route every parked
+    /// tuple the build's signals wake.
+    fn after_build(&mut self, deliveries: Vec<Delivery>, unparks: Vec<UnparkSignal>) {
         if unparks
             .iter()
             .any(|u| matches!(u, UnparkSignal::AnyBuild(_)))
@@ -692,18 +712,7 @@ impl EddyExecutor {
         if let Some(nt) = next {
             self.agenda.push(nt, Event::ScanEmit(mid));
         }
-        // The whole chunk enters routing as one wave: same-span singletons
-        // share a candidate set, so they ride one envelope instead of
-        // exploding into per-row deliveries with per-row policy decisions.
-        let deliveries = batch
-            .into_iter()
-            .map(|t| {
-                if !t.is_eot() {
-                    self.metrics.bump("scanned", self.now, 1);
-                }
-                self.ingest(t, None)
-            })
-            .collect();
+        let deliveries = self.ingest_scan_rows(batch);
         self.route_deliveries(deliveries);
     }
 
@@ -1063,39 +1072,45 @@ impl EddyExecutor {
     ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
         let dur = self.config.costs.sm_us * env.batch.len().max(1) as u64;
         let verdicts = sm.apply_batch(&env.batch);
+        let deliveries = self.apply_verdicts(sm, env, verdicts);
+        (dur, deliveries, Vec::new())
+    }
+
+    /// Charge one SM's per-member verdicts: passing members continue with
+    /// the predicate marked done, failing ones are filtered, and every
+    /// evaluated member feeds `Selected` back to the policy.
+    fn apply_verdicts(
+        &mut self,
+        sm: &crate::sm::Sm,
+        env: Envelope,
+        verdicts: Vec<Option<bool>>,
+    ) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
         for ((tuple, mut state), verdict) in env.batch.into_iter().zip(env.states).zip(verdicts) {
-            match verdict {
-                Some(true) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: true,
-                    });
-                    state.done.insert(sm.pred_id());
-                    deliveries.push(Delivery {
-                        tuple,
-                        state,
-                        clustered: false,
-                    });
-                }
-                Some(false) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: false,
-                    });
-                    self.metrics.bump("filtered", self.now, 1);
-                }
-                None => {
-                    self.violations.push(format!(
-                        "selection {} not evaluable on routed tuple",
-                        sm.describe()
-                    ));
-                }
+            let Some(passed) = verdict else {
+                self.violations.push(format!(
+                    "selection {} not evaluable on routed tuple",
+                    sm.describe()
+                ));
+                continue;
+            };
+            self.metrics.bump("sm_applied", self.now, 1);
+            self.policy.feedback(&Feedback::Selected {
+                pred: sm.pred_id(),
+                passed,
+            });
+            if passed {
+                state.done.insert(sm.pred_id());
+                deliveries.push(Delivery {
+                    tuple,
+                    state,
+                    clustered: false,
+                });
+            } else {
+                self.metrics.bump("filtered", self.now, 1);
             }
         }
-        (dur, deliveries, Vec::new())
+        deliveries
     }
 
     /// The Select hop for an expensive UDF predicate: evaluate through
@@ -1103,8 +1118,8 @@ impl EddyExecutor {
     /// charge the configured per-call virtual latency only for verdicts
     /// actually *computed*, and feed the observed envelope cost back to
     /// the routing policy so benefit/cost ranking learns to defer
-    /// expensive selections behind selective joins. Verdict handling and
-    /// `Selected` feedback are identical to [`Self::select_single`] —
+    /// expensive selections behind selective joins. Verdicts go through
+    /// the same [`Self::apply_verdicts`] as [`Self::select_single`] —
     /// memo and dedup change time, never semantics.
     fn select_udf(
         &mut self,
@@ -1127,39 +1142,7 @@ impl EddyExecutor {
                 .bump("memo_evictions", self.now, out.memo.evictions);
         }
         let rows = env.batch.len();
-        let mut deliveries = Vec::new();
-        for ((tuple, mut state), verdict) in env.batch.into_iter().zip(env.states).zip(out.verdicts)
-        {
-            match verdict {
-                Some(true) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: true,
-                    });
-                    state.done.insert(sm.pred_id());
-                    deliveries.push(Delivery {
-                        tuple,
-                        state,
-                        clustered: false,
-                    });
-                }
-                Some(false) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: false,
-                    });
-                    self.metrics.bump("filtered", self.now, 1);
-                }
-                None => {
-                    self.violations.push(format!(
-                        "selection {} not evaluable on routed tuple",
-                        sm.describe()
-                    ));
-                }
-            }
-        }
+        let deliveries = self.apply_verdicts(sm, env, out.verdicts);
         // Observed cost: what this envelope actually charged, per row —
         // with an effective memo this decays toward `sm_us`, without one
         // it stays near `cost_us`, and the policy's EWMA tracks it.
@@ -1229,6 +1212,22 @@ impl EddyExecutor {
             state,
             clustered: false,
         }
+    }
+
+    /// Scan rows entering the dataflow — the one ingestion path for a
+    /// private scan's emission and for both kinds of server-delivered
+    /// wave. A wave enters routing together: same-span singletons share
+    /// a candidate set, so they ride one envelope instead of exploding
+    /// into per-row deliveries with per-row policy decisions.
+    fn ingest_scan_rows(&mut self, rows: impl IntoIterator<Item = Tuple>) -> Vec<Delivery> {
+        rows.into_iter()
+            .map(|t| {
+                if !t.is_eot() {
+                    self.metrics.bump("scanned", self.now, 1);
+                }
+                self.ingest(t, None)
+            })
+            .collect()
     }
 
     fn is_prioritized(&self, tuple: &Tuple) -> bool {
@@ -1738,36 +1737,13 @@ impl EddyExecutor {
         }
     }
 
-    /// The `max_time` guard for server-delivered waves. [`Self::step`]
-    /// checks the deadline when it pops agenda events, but the server's
-    /// wave deliveries bypass the agenda — without this mirror check a
-    /// query past its deadline would keep processing every shared wave
-    /// (the "dead knob": `max_time` was never enforced under the
-    /// server). A wave past the deadline halts the executor exactly
-    /// like a stepped event past it: `now` advances to the reap point
-    /// (so `end_time` records when the deadline was detected) and the
-    /// wave itself is dropped, matching the solo engine, which never
-    /// processes an event after the guard trips. Once halted, every
-    /// later wave is ignored.
-    fn wave_past_deadline(&mut self, now: Time) -> bool {
-        if self.halted {
-            return true;
-        }
-        if self.config.max_time.is_some_and(|max| now > max) {
-            self.now = now;
-            self.halted = true;
-            self.timed_out = true;
-            return true;
-        }
-        false
-    }
-
     /// Deliver one shared-scan wave for a *folded* instance: the server
     /// already built `stamped` into the shared SteM (dedup happened
     /// there), so the tuples enter this query's dataflow exactly where a
-    /// private build would have dropped them — stamped, routed as one
-    /// wave, with the AnyBuild/Eot wake-ups a private build would have
-    /// raised. `eot` marks the final wave (scan complete).
+    /// private build would have dropped them — stamped, then through the
+    /// same post-build step as a completed build envelope, with the
+    /// AnyBuild/Eot wake-ups a private build would have raised. `eot`
+    /// marks the final wave (scan complete).
     pub(crate) fn deliver_folded_wave(
         &mut self,
         now: Time,
@@ -1775,31 +1751,12 @@ impl EddyExecutor {
         stamped: &[Tuple],
         eot: bool,
     ) {
-        if self.wave_past_deadline(now) {
+        if self.halted || !self.advance_to(now) {
             return;
         }
-        self.now = now;
-        let deliveries: Vec<Delivery> = stamped
-            .iter()
-            .map(|t| {
-                self.metrics.bump("scanned", self.now, 1);
-                self.ingest(t.clone(), None)
-            })
-            .collect();
-        self.route_deliveries(deliveries);
+        let deliveries = self.ingest_scan_rows(stamped.iter().cloned());
         let mut unparks = Vec::new();
         if !stamped.is_empty() {
-            // Mirror on_complete's post-build memory sample.
-            let total: usize = self
-                .modules
-                .iter()
-                .filter_map(|m| match m {
-                    Module::Stem(s) => Some(s.lock().approx_bytes()),
-                    _ => None,
-                })
-                .sum();
-            self.metrics
-                .observe("stem_bytes_total", self.now, total as f64);
             unparks.push(UnparkSignal::AnyBuild(table));
         }
         if eot {
@@ -1808,11 +1765,7 @@ impl EddyExecutor {
                 bindings: None,
             });
         }
-        let mut woken = Vec::new();
-        for sig in unparks {
-            woken.append(&mut self.unpark(sig));
-        }
-        self.route_deliveries(woken);
+        self.after_build(deliveries, unparks);
     }
 
     /// Deliver one shared-scan wave for an *unfolded* (private-SteM)
@@ -1820,19 +1773,10 @@ impl EddyExecutor {
     /// this executor owned the scan — the rows (EOT markers included)
     /// enter unstamped and route to this query's own SteM for building.
     pub(crate) fn deliver_raw_wave(&mut self, now: Time, tuples: Vec<Tuple>) {
-        if self.wave_past_deadline(now) {
+        if self.halted || !self.advance_to(now) {
             return;
         }
-        self.now = now;
-        let deliveries: Vec<Delivery> = tuples
-            .into_iter()
-            .map(|t| {
-                if !t.is_eot() {
-                    self.metrics.bump("scanned", self.now, 1);
-                }
-                self.ingest(t, None)
-            })
-            .collect();
+        let deliveries = self.ingest_scan_rows(tuples);
         self.route_deliveries(deliveries);
     }
 }

@@ -88,9 +88,9 @@
 //!    [`policy::RoutingPolicy::choose_batch`] call (default: delegate to
 //!    the scalar `choose` on a representative member) into **one**
 //!    envelope, serviced by the destination module in bulk:
-//!    [`stem::Stem::build_batch`] / [`stem::Stem::probe_batch`] amortize
-//!    dictionary maintenance through the storage layer's
-//!    `insert_batch` / `lookup_eq_batch`, and [`sm::Sm::apply_batch`]
+//!    [`stem::Stem::build_batch`] / [`stem::Stem::probe_batch_into`]
+//!    amortize dictionary maintenance through the storage layer's
+//!    `insert_batch` / `lookup_eq_flat`, and [`sm::Sm::apply_batch`]
 //!    filters whole batches.
 //!
 //! `batch_size: 1` degenerates to exactly the scalar engine (same

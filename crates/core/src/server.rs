@@ -14,10 +14,7 @@
 //! returns one [`QueryHandle`] per query in submission order: its
 //! [`QueryId`], a terminal [`QueryStatus`], and — for every query that
 //! actually ran — its [`ServerReport`]. Errors are typed
-//! ([`ServerError`]) rather than stringly. The PR 7 positional surface
-//! (`QueryServer::new` + `admit*` + `run_with_stats`) survives as thin
-//! deprecated shims over this API; `tests/server_folding.rs` proves the
-//! two equivalent.
+//! ([`ServerError`]) rather than stringly.
 //!
 //! # What is shared, what stays per-query
 //!
@@ -111,9 +108,10 @@
 //! The barrier protocol itself is model-checked in `tests/model.rs`.
 //!
 //! With folding disabled the server degenerates to a pure merge of
-//! independent classic executors — each query behaves exactly like a solo
-//! [`EddyExecutor::run`]; `bench_server` uses that mode as the baseline
-//! the folding throughput gain is measured against.
+//! independent classic executors, each seeding its own private scans at
+//! its admission instant — a query admitted at time 0 behaves exactly
+//! like a solo [`EddyExecutor::run`]; `bench_server` uses that mode as
+//! the baseline the folding throughput gain is measured against.
 
 use crate::am::ScanAm;
 use crate::engine::{ConfigError, EddyExecutor, ExecConfig};
@@ -128,7 +126,7 @@ use crate::tuple_state::TupleState;
 use std::collections::VecDeque;
 use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, SourceId};
 use stems_sim::{EventQueue, Time};
-use stems_types::{Result, Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
+use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
 
 /// SteM-sharing compatibility key. Two instances may share one SteM only
 /// if they scan the same source, index it by the same (canonicalized)
@@ -198,28 +196,98 @@ struct RawSub {
     eot_seen: bool,
 }
 
+/// One submitted query.
 struct QuerySlot {
     query: QuerySpec,
     config: ExecConfig,
-    exec: Option<EddyExecutor>,
-    admitted_at: Time,
-    active: bool,
     /// Relative deadline (virtual µs from admission), resolved against
     /// the admission instant into the executor's `max_time` guard.
     deadline: Option<Time>,
+    state: SlotState,
+}
+
+/// A query's lifecycle: submitted → (queued →) running → done.
+enum SlotState {
+    /// Waiting for its `Admit` event.
+    Submitted(EddyExecutor),
+    /// Admission found the budget exceeded; waiting in the FIFO queue.
+    Queued(EddyExecutor),
+    /// Admitted: its executor and subscriptions live in
+    /// [`QueryServer::running`] until it retires.
+    Running,
+    /// Terminal. `report` is `None` iff the query never ran.
+    Done {
+        status: QueryStatus,
+        report: Option<ServerReport>,
+    },
+}
+
+impl SlotState {
+    /// Take the executor of a query that has not run yet, leaving the
+    /// slot `Running`; `None` (slot untouched) if it already started.
+    fn start(&mut self) -> Option<EddyExecutor> {
+        match std::mem::replace(self, SlotState::Running) {
+            SlotState::Submitted(exec) | SlotState::Queued(exec) => Some(exec),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
+/// An admitted query: its executor plus its stream subscriptions.
+struct RunningQuery {
+    /// Slot index (= submission order).
+    idx: usize,
+    exec: EddyExecutor,
+    admitted_at: Time,
     /// This executor can consume the server-global timestamp counter
     /// (it owns a private stem-bearing instance), so it must step
     /// serially on the counter chain rather than in the parallel phase.
     threads_ts: bool,
     folded: Vec<FoldedSub>,
     raw: Vec<RawSub>,
-    status: Option<QueryStatus>,
-    report: Option<ServerReport>,
 }
 
-impl QuerySlot {
+impl RunningQuery {
     fn streams_open(&self) -> bool {
         self.folded.iter().any(|s| !s.eot_seen) || self.raw.iter().any(|s| !s.eot_seen)
+    }
+}
+
+/// Raw singletons for `tables` in private scan emission order (rows
+/// outer, instances inner), plus their EOT markers if the scan finished.
+fn raw_wave(rows: &[Arc<Row>], tables: &[TableIdx], eot: bool, arity: usize) -> Vec<Tuple> {
+    let mut tuples: Vec<Tuple> = rows
+        .iter()
+        .flat_map(|row| tables.iter().map(|&t| Tuple::singleton(t, Arc::clone(row))))
+        .collect();
+    if eot {
+        tuples.extend(
+            tables
+                .iter()
+                .map(|&t| Tuple::singleton(t, make_scan_eot_row(arity))),
+        );
+    }
+    tuples
+}
+
+/// A shared entry's build-log slice as `table`'s stamped singletons.
+fn stamped_wave(
+    log: &[(Arc<Row>, Timestamp)],
+    table: TableIdx,
+) -> impl Iterator<Item = Tuple> + '_ {
+    log.iter()
+        .map(move |(row, ts)| Tuple::singleton(table, Arc::clone(row)).with_timestamp(table, *ts))
+}
+
+/// Lower the cached next-event minimum `min` to `t`.
+fn lower_next(min: &mut Option<Time>, t: Option<Time>) {
+    if let Some(t) = t {
+        if min.is_none_or(|m| t < m) {
+            *min = Some(t);
+        }
     }
 }
 
@@ -293,8 +361,7 @@ pub enum QueryStatus {
 pub struct QueryId(pub usize);
 
 /// One query's outcome: terminal status plus — for every query that
-/// actually ran — its [`ServerReport`], exactly as the PR 7 surface
-/// produced it.
+/// actually ran — its [`ServerReport`].
 #[derive(Debug)]
 pub struct QueryHandle {
     pub id: QueryId,
@@ -372,9 +439,8 @@ impl From<ConfigError> for ServerError {
     }
 }
 
-/// Configures a [`QueryServer`]: named setters over the PR 7 positional
-/// `(catalog, config, fold)` constructor, plus the admission-control and
-/// deadline knobs that have no legacy equivalent.
+/// Configures a [`QueryServer`]: folding, per-query defaults, admission
+/// budgets and deadlines.
 pub struct ServerBuilder<'a> {
     catalog: &'a Catalog,
     config: Option<ExecConfig>,
@@ -475,7 +541,7 @@ impl<'a> ServerBuilder<'a> {
             memo_cells: Vec::new(),
             shared_memos: 0,
             slots: Vec::new(),
-            active_set: Vec::new(),
+            running: Vec::new(),
             pending: VecDeque::new(),
             exec_next: None,
             entries_created: 0,
@@ -574,13 +640,14 @@ pub struct QueryServer<'a> {
     memo_cells: Vec<(stems_types::UdfSpec, usize, MemoCell)>,
     shared_memos: usize,
     slots: Vec<QuerySlot>,
-    /// Indices of active slots, ascending — the drain loop scans this
-    /// instead of all slots, so a 1000-query run's per-wave cost tracks
-    /// the *running* population, not the submitted one.
-    active_set: Vec<usize>,
+    /// Admitted queries, ascending by slot index (= admission order for
+    /// the counter chain) — the drain loop scans this instead of all
+    /// slots, so a 1000-query run's per-wave cost tracks the *running*
+    /// population, not the submitted one.
+    running: Vec<RunningQuery>,
     /// Admissions deferred by the budget, FIFO.
     pending: VecDeque<usize>,
-    /// Cached min of the active executors' next event times, recomputed
+    /// Cached min of the running executors' next event times, recomputed
     /// by every [`step_wave`](QueryServer::step_wave) pass and merged on
     /// activation — the drain loop reads each executor's agenda head
     /// once per wave instead of once per wave *per scan*. Retirements
@@ -602,17 +669,6 @@ impl<'a> QueryServer<'a> {
     /// Start configuring a server — see [`ServerBuilder`].
     pub fn builder(catalog: &'a Catalog) -> ServerBuilder<'a> {
         ServerBuilder::new(catalog)
-    }
-
-    /// A server over `catalog`. `fold` enables SteM sharing; `config` is
-    /// the default per-query configuration.
-    #[deprecated(note = "use `QueryServer::builder(catalog)` — named setters, budgets, deadlines")]
-    pub fn new(catalog: &'a Catalog, config: ExecConfig, fold: bool) -> Result<QueryServer<'a>> {
-        ServerBuilder::new(catalog)
-            .config(config)
-            .fold(fold)
-            .build()
-            .map_err(|e| StemsError::Schema(e.to_string()))
     }
 
     /// Submit a query. Returns its [`QueryId`] — the index of its handle
@@ -639,24 +695,13 @@ impl<'a> QueryServer<'a> {
         let config = config.unwrap_or_else(|| self.config.clone());
         config.validate()?;
         let idx = self.slots.len();
-        let exec = if self.fold {
-            EddyExecutor::build_unseeded(self.catalog, &query, config.clone())
-        } else {
-            EddyExecutor::build(self.catalog, &query, config.clone())
-        }
-        .map_err(|source| ServerError::Admission { query: idx, source })?;
+        let exec = EddyExecutor::build_unseeded(self.catalog, &query, config.clone())
+            .map_err(|source| ServerError::Admission { query: idx, source })?;
         self.slots.push(QuerySlot {
             query,
             config,
-            exec: Some(exec),
-            admitted_at: 0,
-            active: false,
             deadline: deadline.or(self.default_deadline),
-            threads_ts: false,
-            folded: Vec::new(),
-            raw: Vec::new(),
-            status: None,
-            report: None,
+            state: SlotState::Submitted(exec),
         });
         self.agenda.push(at.max(self.now), ServerEvent::Admit(idx));
         if let Some(c) = cancel_at {
@@ -678,35 +723,6 @@ impl<'a> QueryServer<'a> {
         Ok(())
     }
 
-    /// Admit a query at time 0 with the server's default config.
-    #[deprecated(note = "use `QueryServer::submit(Submission::new(query))`")]
-    pub fn admit(&mut self, query: QuerySpec) -> Result<usize> {
-        self.submit(Submission::new(query))
-            .map(|id| id.0)
-            .map_err(|e| StemsError::Schema(e.to_string()))
-    }
-
-    /// Admit a query at virtual time `at` (clamped to the present).
-    #[deprecated(note = "use `QueryServer::submit(Submission::new(query).at(at))`")]
-    pub fn admit_at(&mut self, at: Time, query: QuerySpec) -> Result<usize> {
-        self.submit(Submission::new(query).at(at))
-            .map(|id| id.0)
-            .map_err(|e| StemsError::Schema(e.to_string()))
-    }
-
-    /// Admit a query with its own configuration.
-    #[deprecated(note = "use `QueryServer::submit(Submission::new(query).at(at).config(config))`")]
-    pub fn admit_with_config(
-        &mut self,
-        at: Time,
-        query: QuerySpec,
-        config: ExecConfig,
-    ) -> Result<usize> {
-        self.submit(Submission::new(query).at(at).config(config))
-            .map(|id| id.0)
-            .map_err(|e| StemsError::Schema(e.to_string()))
-    }
-
     /// Run every submitted query to a terminal status; handles come back
     /// in submission order.
     pub fn serve(mut self) -> (Vec<QueryHandle>, ServerStats) {
@@ -722,9 +738,8 @@ impl<'a> QueryServer<'a> {
                 // nothing running could ever free more — and go around
                 // again until nothing is left anywhere.
                 self.sweep_all();
-                let live = !self.agenda.is_empty()
-                    || !self.pending.is_empty()
-                    || !self.active_set.is_empty();
+                let live =
+                    !self.agenda.is_empty() || !self.pending.is_empty() || !self.running.is_empty();
                 if live {
                     continue;
                 }
@@ -742,7 +757,7 @@ impl<'a> QueryServer<'a> {
                 self.step_wave(horizon, &mut indep, &mut drained);
                 // Only an executor stepped this window can have newly
                 // drained (or tripped its deadline); the full
-                // active-set sweep is reserved for quiescence, where it
+                // running-set sweep is reserved for quiescence, where it
                 // also catches deadlines tripped by wave delivery
                 // rather than stepping.
                 if !drained.is_empty() {
@@ -784,38 +799,22 @@ impl<'a> QueryServer<'a> {
             timed_out: self.timed_out,
             cancelled: self.cancelled,
         };
+        // The loop only exits once no admission event, queue entry or
+        // running query is left, so every slot is terminal.
         let handles = self
             .slots
             .into_iter()
             .enumerate()
-            .map(|(i, s)| QueryHandle {
-                id: QueryId(i),
-                status: s.status.expect("every query reaches a terminal status"),
-                report: s.report,
+            .map(|(i, s)| match s.state {
+                SlotState::Done { status, report } => QueryHandle {
+                    id: QueryId(i),
+                    status,
+                    report,
+                },
+                _ => unreachable!("query {i} left the drain loop unfinished"),
             })
             .collect();
         (handles, stats)
-    }
-
-    /// Run every admitted query to completion; reports come back in
-    /// admission order. Panics if any query was shed — impossible
-    /// without a budget, which this legacy surface cannot configure.
-    #[deprecated(note = "use `QueryServer::serve` — per-query handles with terminal statuses")]
-    pub fn run(self) -> Vec<ServerReport> {
-        #[allow(deprecated)]
-        self.run_with_stats().0
-    }
-
-    /// [`QueryServer::run`], plus a summary of how much state the run
-    /// actually shared.
-    #[deprecated(note = "use `QueryServer::serve` — per-query handles with terminal statuses")]
-    pub fn run_with_stats(self) -> (Vec<ServerReport>, ServerStats) {
-        let (handles, stats) = self.serve();
-        let reports = handles
-            .into_iter()
-            .map(|h| h.report.expect("query ran to completion"))
-            .collect();
-        (reports, stats)
     }
 
     /// Step every runnable executor up to `t` — the wave's execution
@@ -836,58 +835,48 @@ impl<'a> QueryServer<'a> {
         drained.clear();
         let mut next_min: Option<Time> = None;
         let mut merge = |nt: Option<Time>, idx: usize, drained: &mut Vec<usize>| match nt {
-            Some(nt) => {
-                if next_min.is_none_or(|m| nt < m) {
-                    next_min = Some(nt);
-                }
-            }
+            Some(_) => lower_next(&mut next_min, nt),
             None => drained.push(idx),
         };
-        for pos in 0..self.active_set.len() {
-            let idx = self.active_set[pos];
-            let slot = &mut self.slots[idx];
-            let exec = slot.exec.as_mut().expect("active slot");
-            let nt = exec.next_time();
+        for (pos, q) in self.running.iter_mut().enumerate() {
+            let nt = q.exec.next_time();
             if nt.is_none_or(|nt| nt > t) {
-                merge(nt, idx, drained);
+                merge(nt, q.idx, drained);
                 continue;
             }
-            if slot.threads_ts {
+            if q.threads_ts {
                 // Serial phase, inline: the global timestamp counter is
                 // a chain through these executors in admission order
-                // (`active_set` ascends, and slot index is admission
+                // (`running` ascends by slot index, which is admission
                 // order).
-                exec.set_ts_counter(self.ts_counter);
-                let nt = exec.step_until(t);
-                self.ts_counter = exec.ts_counter();
-                merge(nt, idx, drained);
+                q.exec.set_ts_counter(self.ts_counter);
+                let nt = q.exec.step_until(t);
+                self.ts_counter = q.exec.ts_counter();
+                merge(nt, q.idx, drained);
             } else {
-                indep.push(idx);
+                indep.push(pos);
             }
         }
         let workers = self.config.workers;
         if indep.len() < 2 || workers < 2 {
-            for &idx in indep.iter() {
-                let exec = self.slots[idx].exec.as_mut().expect("active slot");
-                merge(exec.step_until(t), idx, drained);
+            for &pos in indep.iter() {
+                let q = &mut self.running[pos];
+                merge(q.exec.step_until(t), q.idx, drained);
             }
             self.exec_next = next_min;
             return;
         }
-        // Collect disjoint `&mut` executor lanes (indices ascend, so one
-        // pass over the active span suffices). The per-lane mutex is
-        // uncontended — the claim cursor hands each lane to exactly one
-        // runner — it only exists to move `&mut` access across threads
-        // without new `unsafe`.
-        let first = *indep.first().expect("nonempty");
-        let last = *indep.last().expect("nonempty");
-        let mut lanes: Vec<Mutex<&mut EddyExecutor>> = Vec::with_capacity(indep.len());
+        // Collect disjoint `&mut` lanes (positions ascend, so one pass
+        // suffices). The per-lane mutex is uncontended — the claim cursor
+        // hands each lane to exactly one runner — it only exists to move
+        // `&mut` access across threads without new `unsafe`.
+        let mut lanes: Vec<Mutex<&mut RunningQuery>> = Vec::with_capacity(indep.len());
         {
             let mut targets = indep.iter().copied().peekable();
-            for (i, slot) in self.slots[first..=last].iter_mut().enumerate() {
-                if targets.peek() == Some(&(first + i)) {
+            for (pos, q) in self.running.iter_mut().enumerate() {
+                if targets.peek() == Some(&pos) {
                     targets.next();
-                    lanes.push(Mutex::new(slot.exec.as_mut().expect("active slot")));
+                    lanes.push(Mutex::new(q));
                 }
             }
         }
@@ -911,7 +900,7 @@ impl<'a> QueryServer<'a> {
                         }
                     }
                     let _finish = FinishOne(barrier_ref);
-                    lock_ok(&lanes_ref[i]).step_until(t);
+                    lock_ok(&lanes_ref[i]).exec.step_until(t);
                 }
             };
             WorkerPool::global().scope(runners, |scope| {
@@ -927,8 +916,9 @@ impl<'a> QueryServer<'a> {
                 barrier.wait(|| false);
             });
         }
-        for (k, lane) in lanes.iter().enumerate() {
-            merge(lock_ok(lane).next_time(), indep[k], drained);
+        for lane in &lanes {
+            let q = lock_ok(lane);
+            merge(q.exec.next_time(), q.idx, drained);
         }
         self.exec_next = next_min;
     }
@@ -946,67 +936,92 @@ impl<'a> QueryServer<'a> {
     /// An `Admit` event fired: activate the query, or queue/shed it if
     /// the budget is exceeded.
     fn on_admit(&mut self, idx: usize) {
-        if self.slots[idx].status.is_some() {
+        let Some(exec) = self.slots[idx].state.start() else {
             // Cancelled before admission.
             return;
-        }
+        };
         if self.over_budget() {
-            match self.policy {
+            self.slots[idx].state = match self.policy {
                 AdmissionPolicy::Queue => {
                     self.queued += 1;
                     self.pending.push_back(idx);
+                    SlotState::Queued(exec)
                 }
                 AdmissionPolicy::Shed => {
                     self.shed += 1;
-                    self.slots[idx].status = Some(QueryStatus::Shed);
-                    self.slots[idx].exec = None;
+                    SlotState::Done {
+                        status: QueryStatus::Shed,
+                        report: None,
+                    }
                 }
-            }
+            };
             return;
         }
-        self.activate(idx);
+        self.activate(idx, exec);
     }
 
     /// A `Cancel` event fired. Running queries retire with their partial
     /// report; queued / not-yet-admitted ones go terminal with none.
     fn on_cancel(&mut self, idx: usize) {
-        if self.slots[idx].status.is_some() {
-            return;
-        }
-        if self.slots[idx].active {
-            self.retire(idx, QueryStatus::Cancelled);
+        if let Some(q) = self.take_running(idx) {
+            self.retire(q, QueryStatus::Cancelled);
             if !self.pending.is_empty() {
                 self.drain_pending();
             }
             return;
         }
-        self.cancelled += 1;
-        self.slots[idx].status = Some(QueryStatus::Cancelled);
-        self.slots[idx].exec = None;
-        self.pending.retain(|&i| i != idx);
+        let slot = &mut self.slots[idx];
+        if matches!(slot.state, SlotState::Submitted(_) | SlotState::Queued(_)) {
+            self.cancelled += 1;
+            slot.state = SlotState::Done {
+                status: QueryStatus::Cancelled,
+                report: None,
+            };
+            self.pending.retain(|&i| i != idx);
+        }
     }
 
-    /// Activate slot `idx`: decide folding per instance, rewire the plan,
-    /// subscribe to scan streams, catch up on anything the streams
-    /// already produced, and install the deadline.
-    fn activate(&mut self, idx: usize) {
+    /// Activate slot `idx` (whose executor `exec` was just taken out of
+    /// its waiting state): install the deadline, then either seed its
+    /// private scans at the admission instant (folding off) or decide
+    /// folding per instance, rewire the plan, subscribe to scan streams
+    /// and catch up on anything the streams already produced.
+    fn activate(&mut self, idx: usize, exec: EddyExecutor) {
         let now = self.now;
-        self.slots[idx].admitted_at = now;
-        self.slots[idx].active = true;
-        let pos = self.active_set.binary_search(&idx).unwrap_or_else(|p| p);
-        self.active_set.insert(pos, idx);
+        let mut q = RunningQuery {
+            idx,
+            exec,
+            admitted_at: now,
+            threads_ts: false,
+            folded: Vec::new(),
+            raw: Vec::new(),
+        };
         if let Some(rel) = self.slots[idx].deadline {
-            let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
-            exec.clamp_max_time(now.saturating_add(rel));
+            q.exec.clamp_max_time(now.saturating_add(rel));
         }
-        if !self.fold {
-            // Classic executor: self-contained, scans seeded privately,
-            // private timestamp space — never threads the counter.
-            self.note_exec_next(idx);
-            return;
+        if self.fold {
+            self.subscribe(&mut q);
+        } else {
+            // Classic executor: self-contained, private timestamp space
+            // — never threads the counter.
+            q.exec.seed_scans(now);
         }
-        let query = self.slots[idx].query.clone();
-        let plan_opts = self.slots[idx].config.resolved_plan_opts();
+        // Catch-up deliveries may have queued work earlier than anything
+        // the last wave pass saw.
+        lower_next(&mut self.exec_next, q.exec.next_time());
+        let pos = self
+            .running
+            .binary_search_by_key(&idx, |r| r.idx)
+            .unwrap_or_else(|p| p);
+        self.running.insert(pos, q);
+    }
+
+    /// Wire a folding-mode query into the server: fold each instance
+    /// onto a shared entry where compatible, subscribe the rest raw,
+    /// fold its UDF memos, and decide whether it threads the counter.
+    fn subscribe(&mut self, q: &mut RunningQuery) {
+        let query = self.slots[q.idx].query.clone();
+        let plan_opts = self.slots[q.idx].config.resolved_plan_opts();
         let mut claimed: Vec<usize> = Vec::new();
         let mut folded_tables: Vec<TableIdx> = Vec::new();
         let mut raw_tables: Vec<(SourceId, Vec<TableIdx>)> = Vec::new();
@@ -1042,7 +1057,7 @@ impl<'a> QueryServer<'a> {
                     claimed.push(ei);
                     folded_tables.push(ti);
                     self.ensure_scan(source);
-                    self.subscribe_folded(idx, ei, ti);
+                    self.subscribe_folded(q, ei, ti);
                     continue;
                 }
             }
@@ -1053,17 +1068,16 @@ impl<'a> QueryServer<'a> {
         }
         for (source, tables) in raw_tables {
             let si = self.ensure_scan(source);
-            self.subscribe_raw(idx, si, tables);
+            self.subscribe_raw(q, si, tables);
         }
         // Memo folding: every memo-enabled query running a UDF spec gets
         // the registry's shared verdict cache for that (spec, budget)
         // identity — created by the first such query, subscribed to by
         // the rest.
         let mut memo_folded = false;
-        let exec = self.slots[idx].exec.as_ref().expect("admitting slot");
-        if exec.memo_enabled() {
-            let budget = self.slots[idx].config.memo_bytes;
-            for spec in exec.udf_specs() {
+        if q.exec.memo_enabled() {
+            let budget = self.slots[q.idx].config.memo_bytes;
+            for spec in q.exec.udf_specs() {
                 let cell = match self
                     .memo_cells
                     .iter()
@@ -1079,8 +1093,7 @@ impl<'a> QueryServer<'a> {
                         c
                     }
                 };
-                let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
-                exec.fold_memo(spec, &cell);
+                q.exec.fold_memo(spec, &cell);
                 memo_folded = true;
             }
         }
@@ -1091,28 +1104,11 @@ impl<'a> QueryServer<'a> {
         // observations depend on who reached the shared cache first, so
         // they step serially (admission order) to stay deterministic at
         // every worker budget.
-        let exec = self.slots[idx].exec.as_ref().expect("admitting slot");
         let threads = (0..query.n_tables()).any(|t| {
             let ti = TableIdx(t as u8);
-            exec.has_stem(ti) && !folded_tables.contains(&ti)
+            q.exec.has_stem(ti) && !folded_tables.contains(&ti)
         });
-        self.slots[idx].threads_ts = threads || memo_folded;
-        self.note_exec_next(idx);
-    }
-
-    /// Merge a just-activated executor's agenda head into the cached
-    /// next-event minimum (catch-up deliveries may have queued work
-    /// earlier than anything the last wave pass saw).
-    fn note_exec_next(&mut self, idx: usize) {
-        if let Some(nt) = self.slots[idx]
-            .exec
-            .as_ref()
-            .and_then(EddyExecutor::next_time)
-        {
-            if self.exec_next.is_none_or(|m| nt < m) {
-                self.exec_next = Some(nt);
-            }
-        }
+        q.threads_ts = threads || memo_folded;
     }
 
     /// Create a shared entry for `key`, replaying any prefix its source's
@@ -1152,23 +1148,18 @@ impl<'a> QueryServer<'a> {
         ei
     }
 
-    /// Rewire slot `idx`'s instance `ti` onto entry `ei` and deliver the
+    /// Rewire `q`'s instance `ti` onto entry `ei` and deliver the
     /// released log prefix (late admission catch-up).
-    fn subscribe_folded(&mut self, idx: usize, ei: usize, ti: TableIdx) {
-        let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
+    fn subscribe_folded(&mut self, q: &mut RunningQuery, ei: usize, ti: TableIdx) {
         let entry = self.entries[ei].as_mut().expect("live entry");
         entry.subs += 1;
-        exec.fold_stem(ti, &entry.cell);
-        let stamped: Vec<Tuple> = entry.log[..entry.released]
-            .iter()
-            .map(|(row, ts)| Tuple::singleton(ti, Arc::clone(row)).with_timestamp(ti, *ts))
-            .collect();
+        q.exec.fold_stem(ti, &entry.cell);
+        let stamped: Vec<Tuple> = stamped_wave(&entry.log[..entry.released], ti).collect();
         if !stamped.is_empty() || entry.eot_released {
-            let eot = entry.eot_released;
-            exec.deliver_folded_wave(self.now, ti, &stamped, eot);
+            q.exec
+                .deliver_folded_wave(self.now, ti, &stamped, entry.eot_released);
         }
-        let entry = self.entries[ei].as_ref().expect("live entry");
-        self.slots[idx].folded.push(FoldedSub {
+        q.folded.push(FoldedSub {
             entry: ei,
             table: ti,
             cursor: entry.released,
@@ -1176,31 +1167,19 @@ impl<'a> QueryServer<'a> {
         });
     }
 
-    /// Subscribe slot `idx`'s instances to scan `si` raw, catching up on
-    /// the emitted prefix (and EOT, if the scan already finished).
-    fn subscribe_raw(&mut self, idx: usize, si: usize, tables: Vec<TableIdx>) {
-        let scan = &self.scans[si];
-        let eot = scan.eot;
-        let mut tuples = Vec::new();
-        for row in &scan.emitted {
-            for &t in &tables {
-                tuples.push(Tuple::singleton(t, Arc::clone(row)));
-            }
-        }
-        if eot {
-            for &t in &tables {
-                tuples.push(Tuple::singleton(t, make_scan_eot_row(scan.arity)));
-            }
-        }
+    /// Subscribe `q`'s instances to scan `si` raw, catching up on the
+    /// emitted prefix (and EOT, if the scan already finished).
+    fn subscribe_raw(&mut self, q: &mut RunningQuery, si: usize, tables: Vec<TableIdx>) {
+        let scan = &mut self.scans[si];
+        let tuples = raw_wave(&scan.emitted, &tables, scan.eot, scan.arity);
         if !tuples.is_empty() {
-            let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
-            exec.deliver_raw_wave(self.now, tuples);
+            q.exec.deliver_raw_wave(self.now, tuples);
         }
-        self.scans[si].raw_subs += 1;
-        self.slots[idx].raw.push(RawSub {
+        scan.raw_subs += 1;
+        q.raw.push(RawSub {
             scan: si,
             tables,
-            eot_seen: eot,
+            eot_seen: scan.eot,
         });
     }
 
@@ -1281,30 +1260,17 @@ impl<'a> QueryServer<'a> {
         if self.scans[si].raw_subs == 0 {
             return;
         }
-        for pos in 0..self.active_set.len() {
-            let idx = self.active_set[pos];
-            let mut tuples = Vec::new();
-            for sub in self.slots[idx].raw.iter_mut() {
-                if sub.scan != si {
-                    continue;
-                }
-                // Classic emission order: rows outer, instances inner.
-                for row in &rows {
-                    for &t in &sub.tables {
-                        tuples.push(Tuple::singleton(t, Arc::clone(row)));
-                    }
-                }
-                if eot {
-                    for &t in &sub.tables {
-                        tuples.push(Tuple::singleton(t, make_scan_eot_row(arity)));
-                    }
-                    sub.eot_seen = true;
-                }
-            }
+        for q in self.running.iter_mut() {
+            // At most one raw subscription per (query, scan): a query's
+            // unfolded instances of one source share it.
+            let Some(sub) = q.raw.iter_mut().find(|sub| sub.scan == si) else {
+                continue;
+            };
+            sub.eot_seen |= eot;
+            let tuples = raw_wave(&rows, &sub.tables, eot, arity);
             if !tuples.is_empty() {
-                let exec = self.slots[idx].exec.as_mut().expect("active slot");
-                exec.deliver_raw_wave(self.now, tuples);
-                self.note_exec_next(idx);
+                q.exec.deliver_raw_wave(self.now, tuples);
+                lower_next(&mut self.exec_next, q.exec.next_time());
             }
         }
     }
@@ -1371,80 +1337,68 @@ impl<'a> QueryServer<'a> {
     /// is materialized once and the slice shared (the executor clones
     /// what it keeps).
     fn on_deliver_built(&mut self, ei: usize, upto: usize, eot: bool) {
-        {
-            // The entry may have been evicted with this release in
-            // flight (it had no subscribers, so nobody misses the wave).
-            let Some(entry) = self.entries[ei].as_mut() else {
-                return;
-            };
-            entry.released = entry.released.max(upto);
-            if eot {
-                entry.eot_released = true;
-            }
-        }
+        // The entry may have been evicted with this release in flight
+        // (it had no subscribers, so nobody misses the wave).
+        let Some(entry) = self.entries[ei].as_mut() else {
+            return;
+        };
+        entry.released = entry.released.max(upto);
+        entry.eot_released |= eot;
+        let entry = &*entry;
         let mut scratch: Vec<Tuple> = Vec::new();
         let mut scratch_key: Option<(TableIdx, usize)> = None;
-        for pos in 0..self.active_set.len() {
-            let idx = self.active_set[pos];
-            let mut wave: Option<(TableIdx, bool, bool)> = None;
-            for sub in self.slots[idx].folded.iter_mut() {
-                if sub.entry != ei {
-                    continue;
-                }
-                let from = sub.cursor.min(upto);
-                if from < upto && scratch_key != Some((sub.table, from)) {
-                    let entry = self.entries[ei].as_ref().expect("subscribed entry");
-                    scratch.clear();
-                    scratch.extend(entry.log[from..upto].iter().map(|(row, ts)| {
-                        Tuple::singleton(sub.table, Arc::clone(row)).with_timestamp(sub.table, *ts)
-                    }));
-                    scratch_key = Some((sub.table, from));
-                }
-                sub.cursor = sub.cursor.max(upto);
-                let deliver_eot = eot && !sub.eot_seen;
-                if deliver_eot {
-                    sub.eot_seen = true;
-                }
-                if from < upto || deliver_eot {
-                    wave = Some((sub.table, from < upto, deliver_eot));
-                }
+        for q in self.running.iter_mut() {
+            // At most one folded subscription per (query, entry): a
+            // self-join's second instance stays private.
+            let Some(sub) = q.folded.iter_mut().find(|sub| sub.entry == ei) else {
+                continue;
+            };
+            let from = sub.cursor.min(upto);
+            let deliver_eot = eot && !sub.eot_seen;
+            sub.cursor = sub.cursor.max(upto);
+            sub.eot_seen |= eot;
+            if from == upto && !deliver_eot {
+                continue;
             }
-            if let Some((table, has_rows, deliver_eot)) = wave {
-                let exec = self.slots[idx].exec.as_mut().expect("active slot");
-                let stamped: &[Tuple] = if has_rows { &scratch } else { &[] };
-                exec.deliver_folded_wave(self.now, table, stamped, deliver_eot);
-                self.note_exec_next(idx);
+            if from < upto && scratch_key != Some((sub.table, from)) {
+                scratch.clear();
+                scratch.extend(stamped_wave(&entry.log[from..upto], sub.table));
+                scratch_key = Some((sub.table, from));
             }
+            let stamped: &[Tuple] = if from < upto { &scratch } else { &[] };
+            q.exec
+                .deliver_folded_wave(self.now, sub.table, stamped, deliver_eot);
+            lower_next(&mut self.exec_next, q.exec.next_time());
         }
     }
 
-    /// Retire slot `idx` with `status`: take its report, release its
-    /// registry claims, and drop it from the active set.
-    fn retire(&mut self, idx: usize, status: QueryStatus) {
-        let exec = self.slots[idx].exec.take().expect("active slot");
-        let completed_at = exec.now();
-        let report = exec.finish();
-        let slot = &mut self.slots[idx];
-        slot.report = Some(ServerReport {
-            query: idx,
-            admitted_at: slot.admitted_at,
-            completed_at,
-            report,
-        });
-        slot.status = Some(status);
-        slot.active = false;
-        if let Ok(pos) = self.active_set.binary_search(&idx) {
-            self.active_set.remove(pos);
-        }
-        for f in 0..self.slots[idx].folded.len() {
-            let ei = self.slots[idx].folded[f].entry;
-            if let Some(entry) = self.entries[ei].as_mut() {
+    /// Remove slot `idx` from the running set, if it is running.
+    fn take_running(&mut self, idx: usize) -> Option<RunningQuery> {
+        let pos = self.running.binary_search_by_key(&idx, |q| q.idx).ok()?;
+        Some(self.running.remove(pos))
+    }
+
+    /// Retire `q` with `status`: finish its report and release its
+    /// registry claims.
+    fn retire(&mut self, q: RunningQuery, status: QueryStatus) {
+        let completed_at = q.exec.now();
+        self.slots[q.idx].state = SlotState::Done {
+            status,
+            report: Some(ServerReport {
+                query: q.idx,
+                admitted_at: q.admitted_at,
+                completed_at,
+                report: q.exec.finish(),
+            }),
+        };
+        for sub in &q.folded {
+            if let Some(entry) = self.entries[sub.entry].as_mut() {
                 entry.subs = entry.subs.saturating_sub(1);
             }
         }
-        for r in 0..self.slots[idx].raw.len() {
-            let si = self.slots[idx].raw[r].scan;
-            self.scans[si].raw_subs = self.scans[si].raw_subs.saturating_sub(1);
+        for sub in &q.raw {
+            let scan = &mut self.scans[sub.scan];
+            scan.raw_subs = scan.raw_subs.saturating_sub(1);
         }
         match status {
             QueryStatus::TimedOut => self.timed_out += 1,
@@ -1458,17 +1412,20 @@ impl<'a> QueryServer<'a> {
     /// drained with every scan stream closed. Returns whether it
     /// retired.
     fn try_retire(&mut self, idx: usize) -> bool {
-        let slot = &self.slots[idx];
-        let exec = slot.exec.as_ref().expect("active slot");
-        if exec.hit_deadline() {
-            self.retire(idx, QueryStatus::TimedOut);
-            true
-        } else if !slot.streams_open() && exec.next_time().is_none() {
-            self.retire(idx, QueryStatus::Completed);
-            true
+        let Ok(pos) = self.running.binary_search_by_key(&idx, |q| q.idx) else {
+            return false;
+        };
+        let q = &self.running[pos];
+        let status = if q.exec.hit_deadline() {
+            QueryStatus::TimedOut
+        } else if !q.streams_open() && q.exec.next_time().is_none() {
+            QueryStatus::Completed
         } else {
-            false
-        }
+            return false;
+        };
+        let q = self.running.remove(pos);
+        self.retire(q, status);
+        true
     }
 
     /// Retire the finished among this wave's drained executors, then let
@@ -1483,13 +1440,13 @@ impl<'a> QueryServer<'a> {
         }
     }
 
-    /// The quiescent-state sweep: every active slot is a candidate (this
+    /// The quiescent-state sweep: every running query is a candidate (this
     /// also catches a deadline tripped by wave *delivery* rather than
     /// stepping, which never surfaces as a drained executor mid-run),
     /// and the admission queue is always retried — quiescence is where
     /// the forced-progress rule fires.
     fn sweep_all(&mut self) {
-        let candidates: Vec<usize> = self.active_set.clone();
+        let candidates: Vec<usize> = self.running.iter().map(|q| q.idx).collect();
         for idx in candidates {
             self.try_retire(idx);
         }
@@ -1506,25 +1463,18 @@ impl<'a> QueryServer<'a> {
             let Some(&head) = self.pending.front() else {
                 return;
             };
-            if self.slots[head].status.is_some() {
-                // Cancelled while queued.
-                self.pending.pop_front();
-                continue;
+            if self.over_budget() {
+                if self.evict_idle_entry() {
+                    continue;
+                }
+                if !self.running.is_empty() {
+                    return;
+                }
             }
-            if !self.over_budget() {
-                self.pending.pop_front();
-                self.activate(head);
-                continue;
+            self.pending.pop_front();
+            if let Some(exec) = self.slots[head].state.start() {
+                self.activate(head, exec);
             }
-            if self.evict_idle_entry() {
-                continue;
-            }
-            if self.active_set.is_empty() {
-                self.pending.pop_front();
-                self.activate(head);
-                continue;
-            }
-            return;
         }
     }
 

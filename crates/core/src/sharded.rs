@@ -51,10 +51,10 @@
 //!   by its one shard (plus nothing else: overflow rows cannot match).
 //!   Any other probe fans out to all shards and the per-shard results are
 //!   merged by ascending build timestamp — which *is* global insertion
-//!   order, so the merged [`ProbeReply`] is bit-identical to the
-//!   single-shard reply for insertion-ordered backends (List/Hash/
-//!   Adaptive/Partitioned; the Sorted backend orders by value and is
-//!   multiset-equal only).
+//!   order, so the merged [`ProbeReply`](crate::stem::ProbeReply) is
+//!   bit-identical to the single-shard reply for insertion-ordered
+//!   backends (List/Hash/Adaptive/Partitioned; the Sorted backend
+//!   orders by value and is multiset-equal only).
 //! * **Deferred release** — per-shard deferred queues are merged and
 //!   clustered by `(bounce partition, build timestamp)`; since the scalar
 //!   release is a stable partition sort over build order, the merged
@@ -70,8 +70,8 @@
 
 use crate::runtime::{default_parallel_min_rows, default_workers, WorkerPool};
 use crate::stem::{
-    equi_binding, linking_for, BuildResult, ProbeBinding, ProbeReply, ProbeReplySet, ReplyMeta,
-    Stem, StemOptions,
+    equi_binding, linking_for, BuildResult, ProbeBinding, ProbeReplySet, ReplyMeta, Stem,
+    StemOptions,
 };
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
 use crate::tuple_state::TupleState;
@@ -603,17 +603,6 @@ impl ShardedStem {
     // Probe
     // ------------------------------------------------------------------
 
-    /// Probe with a single tuple; mirrors [`Stem::probe`].
-    pub fn probe(&self, tuple: &Tuple, state: &TupleState, query: &QuerySpec) -> ProbeReply {
-        if self.num_shards == 1 {
-            return self.shards[0].probe(tuple, state, query);
-        }
-        let batch = [tuple.clone()];
-        let mut set = ProbeReplySet::new();
-        self.probe_batch_into(&batch, std::slice::from_ref(state), query, &mut set);
-        set.into_single_reply()
-    }
-
     /// Probe a whole envelope into the caller-owned reply arena; mirrors
     /// [`Stem::probe_batch_into`]. Probes bound on the shard key column
     /// go to exactly their key's shard; all other probes fan out to every
@@ -854,10 +843,22 @@ fn pull_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stem::{make_eot_row, make_scan_eot_row, ProbeOutcome};
+    use crate::stem::{make_eot_row, make_scan_eot_row, ProbeOutcome, ProbeReply};
     use stems_catalog::{Catalog, ScanSpec, TableDef, TableInstance};
     use stems_storage::StoreKind;
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Schema};
+
+    /// Probe one fresh tuple through the envelope path, as a scalar reply.
+    fn probe_one(stem: &ShardedStem, tuple: &Tuple, q: &QuerySpec) -> ProbeReply {
+        let mut set = ProbeReplySet::new();
+        stem.probe_batch_into(
+            std::slice::from_ref(tuple),
+            &[TupleState::new()],
+            q,
+            &mut set,
+        );
+        set.into_single_reply()
+    }
 
     /// R(key, a) ⋈ S(x, y) on R.a = S.x — S's SteM key column is 0.
     fn setup() -> (Catalog, QuerySpec) {
@@ -990,8 +991,8 @@ mod tests {
         // NULL key; probe after all builds so the TimeStamp rule passes.
         for probe_key in [0i64, 3, 5, 12, 99] {
             let r = r_tuple(1, probe_key).with_timestamp(TableIdx(0), 1_000);
-            let p1 = one.probe(&r, &TupleState::new(), &q);
-            let p4 = four.probe(&r, &TupleState::new(), &q);
+            let p1 = probe_one(&one, &r, &q);
+            let p4 = probe_one(&four, &r, &q);
             assert_eq!(p1.results, p4.results, "key {probe_key}");
             let match_ts = |p: &ProbeReply| -> Vec<Timestamp> {
                 p.results
@@ -1008,8 +1009,8 @@ mod tests {
         // (SQL equality), same bounce as unsharded.
         let rn = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Null])
             .with_timestamp(TableIdx(0), 1_000);
-        let p1 = one.probe(&rn, &TupleState::new(), &q);
-        let p4 = four.probe(&rn, &TupleState::new(), &q);
+        let p1 = probe_one(&one, &rn, &q);
+        let p4 = probe_one(&four, &rn, &q);
         assert!(p4.results.is_empty());
         assert_eq!(p1.outcome, p4.outcome);
     }
@@ -1023,8 +1024,8 @@ mod tests {
         build_workload(&mut one);
         build_workload(&mut four);
         let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 1_000);
-        let p1 = one.probe(&r, &TupleState::new(), &q);
-        let p4 = four.probe(&r, &TupleState::new(), &q);
+        let p1 = probe_one(&one, &r, &q);
+        let p4 = probe_one(&four, &r, &q);
         assert!(!p4.results.is_empty());
         // Bit-identical: same results in the same (insertion) order.
         assert_eq!(p1.results, p4.results);
@@ -1109,12 +1110,12 @@ mod tests {
         assert_eq!(stem.eot_version(), 1);
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            stem.probe(&covered, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &covered, &q).outcome,
             ProbeOutcome::Consumed
         );
         let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
         assert!(matches!(
-            stem.probe(&uncovered, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &uncovered, &q).outcome,
             ProbeOutcome::Bounced(_)
         ));
         // Scan EOT covers everything, from any shard's perspective.
@@ -1126,7 +1127,7 @@ mod tests {
         assert!(stem.scan_complete());
         assert_eq!(stem.eot_version(), 2);
         assert_eq!(
-            stem.probe(&uncovered, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &uncovered, &q).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1332,8 +1333,8 @@ mod tests {
             build_workload(&mut one);
             build_workload(&mut four);
             let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
-            let p1 = one.probe(&r, &TupleState::new(), &q);
-            let p4 = four.probe(&r, &TupleState::new(), &q);
+            let p1 = probe_one(&one, &r, &q);
+            let p4 = probe_one(&four, &r, &q);
             assert_eq!(p1.results, p4.results, "{store:?}");
         }
     }

@@ -277,13 +277,11 @@ fn cancellation_races_late_admission_replay() {
     );
 }
 
-/// The PR 7 dead knob: an executor-level `max_time` admitted through the
-/// legacy `admit_with_config` was never enforced by the server loop.
-/// Both surfaces must now reap it — same partial report, terminal
-/// [`QueryStatus::TimedOut`] — and a relative [`Submission::deadline`]
-/// resolves against the admission instant.
+/// An executor-level `max_time` is reaped by the server loop — partial
+/// report, terminal [`QueryStatus::TimedOut`] — and a relative
+/// [`Submission::deadline`] resolves against the admission instant.
 #[test]
-fn max_time_is_reaped_on_both_surfaces() {
+fn max_time_and_relative_deadlines_are_reaped() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
     let solo = solo_report(&c, &q);
@@ -292,7 +290,7 @@ fn max_time_is_reaped_on_both_surfaces() {
         ..config()
     };
     let mut srv = QueryServer::builder(&c).config(config()).build().unwrap();
-    srv.submit(Submission::new(q.clone()).config(capped.clone()))
+    srv.submit(Submission::new(q.clone()).config(capped))
         .unwrap();
     let (handles, stats) = srv.serve();
     assert_eq!(stats.timed_out, 1);
@@ -304,14 +302,6 @@ fn max_time_is_reaped_on_both_surfaces() {
         reaped.report.end_time,
         solo.end_time
     );
-    // Legacy surface, same config: identical reaped report.
-    #[allow(deprecated)]
-    let legacy = {
-        let mut srv = QueryServer::new(&c, config(), true).unwrap();
-        srv.admit_with_config(0, q.clone(), capped).unwrap();
-        srv.run_with_stats().0.remove(0)
-    };
-    assert_reports_identical(&legacy.report, &reaped.report, "legacy max_time");
     // Relative deadline: admitted at 5_000 with a 7_000µs lifetime —
     // reaped around virtual 12_000, long before the solo end.
     let mut srv = QueryServer::builder(&c).config(config()).build().unwrap();

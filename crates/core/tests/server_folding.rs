@@ -246,6 +246,45 @@ fn fold_off_is_a_pure_merge_of_classic_executors() {
     }
 }
 
+/// With folding off, a late query seeds its private scans at its
+/// admission instant: it cannot finish before it was admitted, and it
+/// still produces exactly the reference answer.
+#[test]
+fn fold_off_late_admission_runs_after_admission() {
+    let (c, r, s, t) = family_catalog();
+    let schedule = [(0u64, 0usize), (11_000, 1), (60_000, 0)];
+    for workers in [1usize, 4] {
+        let mut srv = QueryServer::builder(&c)
+            .config(server_config(workers))
+            .fold(false)
+            .build()
+            .unwrap();
+        for &(at, i) in &schedule {
+            srv.submit(Submission::new(query_for(&c, r, s, t, i)).at(at))
+                .unwrap();
+        }
+        let (handles, _) = srv.serve();
+        for (k, h) in handles.iter().enumerate() {
+            assert_eq!(h.status, QueryStatus::Completed);
+            let sr = h.report.as_ref().expect("completed query has a report");
+            assert_eq!(sr.admitted_at, schedule[k].0);
+            assert!(
+                sr.completed_at >= sr.admitted_at,
+                "fold-off q{k} w{workers} completed at {} before its admission at {}",
+                sr.completed_at,
+                sr.admitted_at
+            );
+            let q = query_for(&c, r, s, t, schedule[k].1);
+            assert_matches_reference(
+                &c,
+                &q,
+                &sr.report,
+                &format!("fold-off late q{k} w{workers}"),
+            );
+        }
+    }
+}
+
 /// Interleaved admissions: one query admitted mid-build of every scan,
 /// one as EOTs start landing while earlier queries are still probing, and
 /// one long after every stream closed (pure catch-up replay). Each must
@@ -291,41 +330,6 @@ fn late_admission_catches_up_and_stays_deterministic() {
     // per source and one registry entry per distinct key.
     assert_eq!(stats_a.scan_streams, 3);
     assert_eq!(stats_a.shared_stems, 5);
-}
-
-/// The deprecated PR 7 surface (`new` / `admit` / `admit_at` /
-/// `run_with_stats`) must remain an exact shim over the builder/handle
-/// API: identical reports, identical stats, for simultaneous and
-/// staggered admissions alike.
-#[test]
-#[allow(deprecated)]
-fn deprecated_surface_is_equivalent_to_builder_api() {
-    let (c, r, s, t) = family_catalog();
-    let schedule = [(0u64, 0usize), (0, 1), (5_000, 2), (11_000, 3)];
-    let mut old = QueryServer::new(&c, server_config(2), true).unwrap();
-    for &(at, i) in &schedule {
-        old.admit_at(at, query_for(&c, r, s, t, i)).unwrap();
-    }
-    let (old_reports, old_stats) = old.run_with_stats();
-    let mut new = QueryServer::builder(&c)
-        .config(server_config(2))
-        .build()
-        .unwrap();
-    for &(at, i) in &schedule {
-        new.submit(Submission::new(query_for(&c, r, s, t, i)).at(at))
-            .unwrap();
-    }
-    let (handles, new_stats) = new.serve();
-    assert_eq!(old_stats, new_stats, "shim stats diverged");
-    assert_eq!(old_reports.len(), handles.len());
-    for (i, (o, h)) in old_reports.iter().zip(&handles).enumerate() {
-        assert_eq!(h.id.0, i);
-        assert_eq!(h.status, QueryStatus::Completed);
-        let n = h.report.as_ref().expect("completed query has a report");
-        assert_eq!(o.admitted_at, n.admitted_at, "q{i} admitted_at");
-        assert_eq!(o.completed_at, n.completed_at, "q{i} completed_at");
-        assert_reports_identical(&o.report, &n.report, &format!("shim q{i}"));
-    }
 }
 
 /// The 1000-query point: every report still bit-identical to its solo
@@ -486,7 +490,9 @@ fn memo_folding_respects_predicate_identity_and_budget() {
 
 /// A self-join claims its shared entry once: the first instance folds,
 /// the second stays private (two dictionaries), and a second identical
-/// query still folds onto the same single entry.
+/// query still folds onto the same single entry. The private instance is
+/// fed raw rows from the shared scan; admitted late, it first replays
+/// every row the scan already emitted.
 #[test]
 fn self_join_keeps_second_instance_private() {
     let (c, r, _s, _t) = family_catalog();
@@ -522,5 +528,31 @@ fn self_join_keeps_second_instance_private() {
     for (i, sr) in reports.iter().enumerate() {
         assert_matches_reference(&c, &q, &sr.report, &format!("self-join q{i}"));
         assert_reports_identical(&sr.report, &solo, &format!("self-join q{i} vs solo"));
+    }
+    // Staggered: mid-scan (R's scan spans ≈ 30ms) and after every stream
+    // closed, so the raw subscriptions catch up on a partial and a full
+    // emitted prefix.
+    let schedule = [0u64, 11_000, 60_000];
+    for workers in [1usize, 4] {
+        let mut srv = QueryServer::builder(&c)
+            .config(server_config(workers))
+            .build()
+            .unwrap();
+        for &at in &schedule {
+            srv.submit(Submission::new(q.clone()).at(at)).unwrap();
+        }
+        let (handles, stats) = srv.serve();
+        assert_eq!(stats.shared_stems, 1, "staggered w{workers}");
+        for (i, h) in handles.iter().enumerate() {
+            assert_eq!(h.status, QueryStatus::Completed);
+            let sr = h.report.as_ref().expect("completed query has a report");
+            assert_eq!(sr.admitted_at, schedule[i]);
+            assert!(
+                sr.completed_at >= sr.admitted_at,
+                "staggered self-join q{i} w{workers} completed before admission"
+            );
+            let ctx = format!("staggered self-join q{i} w{workers}");
+            assert_matches_reference(&c, &q, &sr.report, &ctx);
+        }
     }
 }

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 use stems::sim::SimRng;
 use stems::storage::DictStore;
-use stems::storage::{index_key, RowSet, SortedStore, StoreKind};
-use stems::types::{CmpOp, Row, Value};
+use stems::storage::{index_key, CandidateBuf, RowSet, SortedStore, StoreKind};
+use stems::types::{CmpOp, HashedKey, Row, Value};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -148,10 +148,15 @@ fn batched_ops_match_scalar_ops() {
             let mut batched = kind.build(&[1]);
             batched.insert_batch(rows.clone());
             assert_eq!(scalar.len(), batched.len(), "seed {seed} kind {kind:?}");
-            let got = batched.lookup_eq_batch(1, &keys);
-            for (key, hits) in keys.iter().zip(&got) {
-                let mut hit_vals: Vec<Vec<Value>> =
-                    hits.iter().map(|r| r.values().to_vec()).collect();
+            let hashed: Vec<HashedKey> = keys.iter().cloned().map(HashedKey::new).collect();
+            let mut got = CandidateBuf::new();
+            batched.lookup_eq_flat(1, &hashed, &mut got);
+            for (i, key) in keys.iter().enumerate() {
+                let mut hit_vals: Vec<Vec<Value>> = got
+                    .candidates(i)
+                    .iter()
+                    .map(|r| r.values().to_vec())
+                    .collect();
                 let mut want_vals: Vec<Vec<Value>> = scalar
                     .lookup_eq(1, key)
                     .iter()
