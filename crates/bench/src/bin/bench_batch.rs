@@ -6,35 +6,35 @@
 //! engine default) and reports wall-clock throughput in input rows per
 //! second. The adaptive benefit/cost policy is used so every routing
 //! decision actually scores candidates; batching amortizes those scores
-//! over same-destination tuples. The JSON lands in `$STEMS_BENCH_OUT` or
-//! `./BENCH_1.json`, so later PRs have a perf trajectory to regress
-//! against.
+//! over same-destination tuples. The JSON lands in `./BENCH_1.json`
+//! (`stems_bench::harness::BenchEnv` names the override), so later PRs
+//! have a perf trajectory to regress against.
 //!
 //! The result multiset is asserted identical across batch sizes — this
-//! binary doubles as a smoke test of batch/scalar equivalence.
+//! binary doubles as a smoke test of batch/scalar equivalence — and each
+//! series embeds the `result_hash` that `tools/bench_check.py` compares
+//! against the committed baseline in CI. `STEMS_BENCH_ROWS` (default
+//! 3000) / `STEMS_BENCH_RUNS` (default 5) shrink the workload.
 
-use std::time::Instant;
-use stems_bench::median;
+use stems_bench::harness::{benefit_cost, eddy_run, run_series, BenchEnv, Body, Fields};
 use stems_catalog::{Catalog, ScanSpec};
-use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
 use stems_datagen::{gen::ColGen, TableBuilder};
 use stems_sql::parse_query;
 
-const RUNS: usize = 5;
-const ROWS_PER_TABLE: usize = 3000;
-
 fn main() {
+    let env = BenchEnv::from_env("BENCH_1.json", 3000, 5);
+    let rows = env.rows;
     let mut catalog = Catalog::new();
-    let r = TableBuilder::new("R", ROWS_PER_TABLE, 71)
+    let r = TableBuilder::new("R", rows, 71)
         .col("a", ColGen::Mod(500))
         .register(&mut catalog)
         .unwrap();
-    let s = TableBuilder::new("S", ROWS_PER_TABLE, 72)
+    let s = TableBuilder::new("S", rows, 72)
         .col("x", ColGen::Mod(500))
         .col("y", ColGen::Mod(400))
         .register(&mut catalog)
         .unwrap();
-    let t = TableBuilder::new("T", ROWS_PER_TABLE, 73)
+    let t = TableBuilder::new("T", rows, 73)
         .col("b", ColGen::Mod(400))
         .register(&mut catalog)
         .unwrap();
@@ -46,69 +46,31 @@ fn main() {
         "SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.b",
     )
     .unwrap();
-    let input_rows = (3 * ROWS_PER_TABLE) as f64;
+    let input_rows = (3 * rows) as f64;
 
-    let mut entries = Vec::new();
-    let mut reference_results: Option<usize> = None;
-    for batch_size in [1usize, 64, 256] {
-        let mut secs = Vec::new();
-        let mut results = 0usize;
-        for _ in 0..RUNS {
-            let config = ExecConfig {
-                batch_size,
-                policy: RoutingPolicyKind::BenefitCost {
-                    epsilon: 0.05,
-                    drop_rate: 1.0,
-                },
-                ..ExecConfig::default()
-            };
-            let start = Instant::now();
-            let report = EddyExecutor::build(&catalog, &query, config)
-                .expect("plan")
-                .run();
-            secs.push(start.elapsed().as_secs_f64());
-            results = report.results.len();
-            assert!(report.violations.is_empty(), "{:?}", report.violations);
-        }
-        match reference_results {
-            None => reference_results = Some(results),
-            Some(want) => assert_eq!(
-                results, want,
-                "batch_size {batch_size} changed the result count"
-            ),
-        }
-        let med = median(secs);
-        let rows_per_sec = input_rows / med;
-        println!(
-            "batch_size {batch_size:>4}: {rows_per_sec:>12.0} rows/s  \
-             (median {med:.4}s over {RUNS} runs, {results} results)"
-        );
-        entries.push((batch_size, rows_per_sec, med, results));
-    }
+    let series = [1usize, 64, 256].map(|b| (format!("batch{b}"), b));
+    let outs = run_series(env.runs, &series, |&batch_size| {
+        eddy_run(&catalog, &query, benefit_cost(batch_size))
+    });
+    let entries = series
+        .iter()
+        .zip(&outs)
+        .map(|((label, batch_size), out)| {
+            Fields::new()
+                .str("label", label)
+                .int("batch_size", *batch_size)
+                .num("rows_per_sec", input_rows / out.secs, 0)
+                .num("median_secs", out.secs, 6)
+                .int("results", out.results)
+                .str("result_hash", &out.result_hash)
+                .num("speedup_vs_scalar", outs[0].secs / out.secs, 3)
+        })
+        .collect();
 
-    let base = entries[0].1;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = stems_core::runtime::default_workers();
-    let json = format!(
-        "{{\n  \"benchmark\": \"eddy_chain3_{rows}x{rows}x{rows}_benefit_cost\",\n  \
-         \"metric\": \"input_rows_per_sec_wall\",\n  \"runs\": {RUNS},\n  \
-         \"cores\": {cores},\n  \"workers\": {workers},\n  \
-         \"series\": [\n{}\n  ]\n}}\n",
-        entries
-            .iter()
-            .map(|(bs, rps, med, res)| format!(
-                "    {{\"batch_size\": {bs}, \"rows_per_sec\": {rps:.0}, \
-                 \"median_secs\": {med:.6}, \"results\": {res}, \
-                 \"speedup_vs_scalar\": {:.3}}}",
-                rps / base
-            ))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        rows = ROWS_PER_TABLE,
+    env.write(
+        &format!("eddy_chain3_{rows}x{rows}x{rows}_benefit_cost"),
+        "input_rows_per_sec_wall",
+        Fields::new(),
+        Body::Series(entries),
     );
-    let path = std::env::var("STEMS_BENCH_OUT").unwrap_or_else(|_| "BENCH_1.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_1.json");
-    println!("wrote {path}");
 }

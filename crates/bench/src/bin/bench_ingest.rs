@@ -13,7 +13,8 @@
 //!
 //! Series: scalar (chunk 1, batch 1), PR 1's best (chunk 1, batch 64),
 //! chunked ingestion (chunk 64, batch 64; chunk 256, batch 256). The JSON
-//! lands in `$STEMS_BENCH_OUT` or `./BENCH_2.json`; `speedup_vs_pr1` > 1 on
+//! lands in `./BENCH_2.json` (`stems_bench::harness::BenchEnv` names the
+//! override); `speedup_vs_pr1` > 1 on
 //! the chunked rows is the win this PR claims. The result multiset is
 //! asserted identical across series — the binary doubles as a smoke test of
 //! chunked/scalar equivalence — and each series embeds a `result_hash`
@@ -21,154 +22,55 @@
 //! CI. `STEMS_BENCH_ROWS` / `STEMS_BENCH_RUNS` shrink the workload (CI
 //! runs the committed row count with 1 run so hashes stay comparable).
 
-use std::time::Instant;
-use stems_bench::{env_usize, median, render_canonical, result_hash};
-use stems_catalog::{Catalog, QuerySpec, ScanSpec};
-use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
-use stems_datagen::{gen::ColGen, TableBuilder};
-use stems_sql::parse_query;
-
-/// Build the selection-heavy chain workload with every scan delivering
-/// `chunk` rows per event. Seeds are fixed, so every chunk size sees the
-/// same rows.
-fn build(rows_per_table: usize, chunk: usize) -> (Catalog, QuerySpec) {
-    let mut catalog = Catalog::new();
-    TableBuilder::new("R", rows_per_table, 81)
-        .col("a", ColGen::Mod(500))
-        .col("u", ColGen::Mod(500))
-        .register(&mut catalog)
-        .unwrap();
-    TableBuilder::new("S", rows_per_table, 82)
-        .col("x", ColGen::Mod(500))
-        .col("y", ColGen::Mod(400))
-        .col("v", ColGen::Mod(500))
-        .register(&mut catalog)
-        .unwrap();
-    TableBuilder::new("T", rows_per_table, 83)
-        .col("b", ColGen::Mod(400))
-        .col("w", ColGen::Mod(500))
-        .register(&mut catalog)
-        .unwrap();
-    let sources: Vec<_> = (0..3).map(stems_catalog::SourceId).collect();
-    for src in sources {
-        catalog
-            .add_scan(src, ScanSpec::with_rate(100_000.0).with_chunk(chunk))
-            .unwrap();
-    }
-    let query = parse_query(
-        &catalog,
-        "SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.b \
-         AND R.u < 300 AND S.v < 300 AND T.w < 300",
-    )
-    .unwrap();
-    (catalog, query)
-}
-
-struct Entry {
-    label: &'static str,
-    chunk: usize,
-    batch_size: usize,
-    rows_per_sec: f64,
-    median_secs: f64,
-    results: usize,
-    result_hash: String,
-}
+use stems_bench::harness::{
+    benefit_cost, eddy_run, run_series, sel3_chain_workload, BenchEnv, Body, Fields,
+};
 
 fn main() {
-    let rows = env_usize("STEMS_BENCH_ROWS", 3000);
-    let runs = env_usize("STEMS_BENCH_RUNS", 5);
+    let env = BenchEnv::from_env("BENCH_2.json", 3000, 5);
+    let rows = env.rows;
     let input_rows = (3 * rows) as f64;
-    // (label, scan chunk, routing batch size)
-    let series: [(&str, usize, usize); 4] = [
+    // (label, (scan chunk, routing batch size, workload at that chunk))
+    let series: Vec<_> = [
         ("scalar", 1, 1),
         ("pr1_batch64", 1, 64),
         ("chunked_batch64", 64, 64),
         ("chunked_batch256", 256, 256),
-    ];
+    ]
+    .into_iter()
+    .map(|(label, chunk, batch_size)| {
+        (label, (chunk, batch_size, sel3_chain_workload(rows, chunk)))
+    })
+    .collect();
 
-    let mut entries: Vec<Entry> = Vec::new();
-    for (label, chunk, batch_size) in series {
-        let (catalog, query) = build(rows, chunk);
-        let mut secs = Vec::new();
-        let mut results = 0usize;
-        let mut hash = String::new();
-        for _ in 0..runs {
-            let config = ExecConfig {
-                batch_size,
-                policy: RoutingPolicyKind::BenefitCost {
-                    epsilon: 0.05,
-                    drop_rate: 1.0,
-                },
-                ..ExecConfig::default()
-            };
-            let start = Instant::now();
-            let report = EddyExecutor::build(&catalog, &query, config)
-                .expect("plan")
-                .run();
-            secs.push(start.elapsed().as_secs_f64());
-            results = report.results.len();
-            assert!(report.violations.is_empty(), "{:?}", report.violations);
-            hash = result_hash(render_canonical(&report.canonical(&catalog, &query)));
-        }
-        if let Some(first) = entries.first() {
-            // Every series must produce the same result *multiset*, not
-            // just the same count — the bench doubles as a smoke test of
-            // chunked/scalar (and sharded, under STEMS_NUM_SHARDS)
-            // equivalence, and CI's bench_check gate keys on this field.
-            assert_eq!(
-                hash, first.result_hash,
-                "series {label} changed the result multiset"
-            );
-        }
-        let med = median(secs);
-        let rows_per_sec = input_rows / med;
-        println!(
-            "{label:>18} (chunk {chunk:>3}, batch {batch_size:>3}): \
-             {rows_per_sec:>12.0} rows/s  (median {med:.4}s over {runs} runs, {results} results)"
-        );
-        entries.push(Entry {
-            label,
-            chunk,
-            batch_size,
-            rows_per_sec,
-            median_secs: med,
-            results,
-            result_hash: hash,
-        });
-    }
+    // Every series must produce the same result *multiset* — the bench
+    // doubles as a smoke test of chunked/scalar (and sharded, under
+    // STEMS_NUM_SHARDS) equivalence, and CI's bench_check gate keys on
+    // the hash.
+    let outs = run_series(env.runs, &series, |(_, batch_size, (catalog, query))| {
+        eddy_run(catalog, query, benefit_cost(*batch_size))
+    });
+    let entries = series
+        .iter()
+        .zip(&outs)
+        .map(|((label, (chunk, batch_size, _)), out)| {
+            Fields::new()
+                .str("label", label)
+                .int("chunk", *chunk)
+                .int("batch_size", *batch_size)
+                .num("rows_per_sec", input_rows / out.secs, 0)
+                .num("median_secs", out.secs, 6)
+                .int("results", out.results)
+                .str("result_hash", &out.result_hash)
+                .num("speedup_vs_scalar", outs[0].secs / out.secs, 3)
+                .num("speedup_vs_pr1", outs[1].secs / out.secs, 3)
+        })
+        .collect();
 
-    let scalar = entries[0].rows_per_sec;
-    let pr1 = entries[1].rows_per_sec;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = stems_core::runtime::default_workers();
-    let json = format!(
-        "{{\n  \"benchmark\": \"eddy_chain3_sel3_{rows}x{rows}x{rows}_benefit_cost\",\n  \
-         \"metric\": \"input_rows_per_sec_wall\",\n  \"rows\": {rows},\n  \"runs\": {runs},\n  \
-         \"cores\": {cores},\n  \"workers\": {workers},\n  \
-         \"series\": [\n{}\n  ]\n}}\n",
-        entries
-            .iter()
-            .map(|e| format!(
-                "    {{\"label\": \"{}\", \"chunk\": {}, \"batch_size\": {}, \
-                 \"rows_per_sec\": {:.0}, \"median_secs\": {:.6}, \"results\": {}, \
-                 \"result_hash\": \"{}\", \
-                 \"speedup_vs_scalar\": {:.3}, \"speedup_vs_pr1\": {:.3}}}",
-                e.label,
-                e.chunk,
-                e.batch_size,
-                e.rows_per_sec,
-                e.median_secs,
-                e.results,
-                e.result_hash,
-                e.rows_per_sec / scalar,
-                e.rows_per_sec / pr1
-            ))
-            .collect::<Vec<_>>()
-            .join(",\n"),
+    env.write(
+        &format!("eddy_chain3_sel3_{rows}x{rows}x{rows}_benefit_cost"),
+        "input_rows_per_sec_wall",
+        Fields::new(),
+        Body::Series(entries),
     );
-    let path = std::env::var("STEMS_BENCH_OUT").unwrap_or_else(|_| "BENCH_2.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_2.json");
-    println!("wrote {path}");
 }

@@ -21,50 +21,18 @@
 //!
 //! Quick mode for CI smoke: `STEMS_BENCH_ROWS` (default 3000) and
 //! `STEMS_BENCH_RUNS` (default 5) shrink the workload; the binary still
-//! asserts cross-series result equality and validates the JSON it wrote,
-//! so a rotted bench binary fails loudly rather than silently emitting
-//! garbage. Output lands in `$STEMS_BENCH_OUT` or `./BENCH_3.json`.
+//! asserts cross-series result equality, and the shared writer re-reads
+//! the JSON it wrote, so a rotted bench binary fails loudly rather than
+//! silently emitting garbage. Output lands in `./BENCH_3.json`
+//! (`stems_bench::harness::BenchEnv` names the override).
 
-use std::time::Instant;
-use stems_bench::{env_usize, median, render_canonical, result_hash};
+use stems_bench::harness::{
+    benefit_cost, eddy_run, run_series, sel3_chain_workload, BenchEnv, Body, Fields,
+};
 use stems_catalog::{Catalog, QuerySpec, ScanSpec};
-use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
+use stems_core::ExecConfig;
 use stems_datagen::{gen::ColGen, TableBuilder};
 use stems_sql::parse_query;
-
-/// The pure-Int selection-heavy chain of `bench_ingest` (BENCH_2's
-/// workload): no regression allowed here.
-fn build_int(rows: usize, chunk: usize) -> (Catalog, QuerySpec) {
-    let mut catalog = Catalog::new();
-    TableBuilder::new("R", rows, 81)
-        .col("a", ColGen::Mod(500))
-        .col("u", ColGen::Mod(500))
-        .register(&mut catalog)
-        .unwrap();
-    TableBuilder::new("S", rows, 82)
-        .col("x", ColGen::Mod(500))
-        .col("y", ColGen::Mod(400))
-        .col("v", ColGen::Mod(500))
-        .register(&mut catalog)
-        .unwrap();
-    TableBuilder::new("T", rows, 83)
-        .col("b", ColGen::Mod(400))
-        .col("w", ColGen::Mod(500))
-        .register(&mut catalog)
-        .unwrap();
-    for src in (0..3).map(stems_catalog::SourceId) {
-        catalog
-            .add_scan(src, ScanSpec::with_rate(100_000.0).with_chunk(chunk))
-            .unwrap();
-    }
-    let query = parse_query(
-        &catalog,
-        "SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.b \
-         AND R.u < 300 AND S.v < 300 AND T.w < 300",
-    )
-    .unwrap();
-    (catalog, query)
-}
 
 /// The mixed-type variant: Float / Str / NULL-sprinkled selection columns,
 /// an IN-list, and two selections on one table (fusion).
@@ -105,158 +73,72 @@ fn build_mixed(rows: usize, chunk: usize) -> (Catalog, QuerySpec) {
     (catalog, query)
 }
 
-struct Entry {
-    label: &'static str,
-    chunk: usize,
-    batch_size: usize,
-    rows_per_sec: f64,
-    median_secs: f64,
-    results: usize,
-    result_hash: String,
-}
-
-#[allow(clippy::type_complexity)]
+/// Run one workload's series — (label, scan chunk, routing batch,
+/// fuse_selections) — and render them as the workload's JSON block.
 fn run_workload(
+    env: &BenchEnv,
     name: &str,
-    rows: usize,
-    runs: usize,
-    series: &[(&'static str, usize, usize, bool)],
+    series: &[(&str, usize, usize, bool)],
     build: fn(usize, usize) -> (Catalog, QuerySpec),
-) -> Vec<Entry> {
-    let input_rows = (3 * rows) as f64;
-    let mut entries: Vec<Entry> = Vec::new();
-    for &(label, chunk, batch_size, fuse) in series {
-        let (catalog, query) = build(rows, chunk);
-        let mut secs = Vec::new();
-        let mut results = 0usize;
-        let mut hash = String::new();
-        for _ in 0..runs {
-            let config = ExecConfig {
-                batch_size,
-                fuse_selections: fuse,
-                policy: RoutingPolicyKind::BenefitCost {
-                    epsilon: 0.05,
-                    drop_rate: 1.0,
-                },
-                ..ExecConfig::default()
-            };
-            let start = Instant::now();
-            let report = EddyExecutor::build(&catalog, &query, config)
-                .expect("plan")
-                .run();
-            secs.push(start.elapsed().as_secs_f64());
-            results = report.results.len();
-            assert!(report.violations.is_empty(), "{:?}", report.violations);
-            hash = result_hash(render_canonical(&report.canonical(&catalog, &query)));
-        }
-        if let Some(first) = entries.first() {
-            // Hash, not just count: the series must agree on the result
-            // *multiset* — the field CI's bench_check gate keys on.
-            assert_eq!(
-                hash, first.result_hash,
-                "{name}/{label} changed the result multiset — kernels are not scalar-equivalent"
-            );
-        }
-        let med = median(secs);
-        let rows_per_sec = input_rows / med;
-        println!(
-            "{name:>11}/{label:<16} (chunk {chunk:>3}, batch {batch_size:>3}): \
-             {rows_per_sec:>12.0} rows/s  (median {med:.4}s over {runs} runs, {results} results)"
-        );
-        entries.push(Entry {
-            label,
-            chunk,
-            batch_size,
-            rows_per_sec,
-            median_secs: med,
-            results,
-            result_hash: hash,
-        });
-    }
-    entries
-}
-
-fn series_json(entries: &[Entry]) -> String {
-    let scalar = entries[0].rows_per_sec;
-    entries
+) -> (String, Vec<Fields>) {
+    let input_rows = (3 * env.rows) as f64;
+    let series: Vec<_> = series
         .iter()
-        .map(|e| {
-            format!(
-                "      {{\"label\": \"{}\", \"chunk\": {}, \"batch_size\": {}, \
-                 \"rows_per_sec\": {:.0}, \"median_secs\": {:.6}, \"results\": {}, \
-                 \"result_hash\": \"{}\", \"speedup_vs_scalar\": {:.3}}}",
-                e.label,
-                e.chunk,
-                e.batch_size,
-                e.rows_per_sec,
-                e.median_secs,
-                e.results,
-                e.result_hash,
-                e.rows_per_sec / scalar
+        .map(|&(label, chunk, batch, fuse)| {
+            (
+                format!("{name}/{label}"),
+                (label, chunk, batch, fuse, build(env.rows, chunk)),
             )
         })
-        .collect::<Vec<_>>()
-        .join(",\n")
-}
-
-/// Minimal structural validation of the emitted JSON: balanced braces and
-/// brackets outside strings, and the keys the CI smoke job greps for. Not
-/// a parser — just enough to make a silently-rotted bench fail loudly.
-fn validate_json(text: &str) {
-    let (mut depth, mut brackets, mut in_str, mut esc) = (0i64, 0i64, false, false);
-    for c in text.chars() {
-        if in_str {
-            match (esc, c) {
-                (true, _) => esc = false,
-                (false, '\\') => esc = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth += 1,
-            '}' => depth -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0 && brackets >= 0, "malformed JSON nesting");
-    }
-    assert!(
-        depth == 0 && brackets == 0 && !in_str,
-        "unbalanced JSON output"
+        .collect();
+    // Hash, not just count: the series must agree on the result
+    // *multiset* — the kernels must be scalar-equivalent.
+    let outs = run_series(
+        env.runs,
+        &series,
+        |(_, _, batch, fuse, (catalog, query))| {
+            let config = ExecConfig {
+                fuse_selections: *fuse,
+                ..benefit_cost(*batch)
+            };
+            eddy_run(catalog, query, config)
+        },
     );
-    for key in [
-        "\"benchmark\"",
-        "\"workloads\"",
-        "\"rows_per_sec\"",
-        "\"result_hash\"",
-    ] {
-        assert!(text.contains(key), "JSON output missing {key}");
-    }
+    let entries = series
+        .iter()
+        .zip(&outs)
+        .map(|((_, (label, chunk, batch_size, _, _)), out)| {
+            Fields::new()
+                .str("label", label)
+                .int("chunk", *chunk)
+                .int("batch_size", *batch_size)
+                .num("rows_per_sec", input_rows / out.secs, 0)
+                .num("median_secs", out.secs, 6)
+                .int("results", out.results)
+                .str("result_hash", &out.result_hash)
+                .num("speedup_vs_scalar", outs[0].secs / out.secs, 3)
+        })
+        .collect();
+    (name.to_string(), entries)
 }
 
 fn main() {
-    let rows = env_usize("STEMS_BENCH_ROWS", 3000);
-    let runs = env_usize("STEMS_BENCH_RUNS", 5);
+    let env = BenchEnv::from_env("BENCH_3.json", 3000, 5);
 
     // (label, scan chunk, routing batch, fuse_selections). The scalar
     // baselines run unfused: they are the strict one-SM-per-hop cascade
     // the speedups claim to beat (fusion is batch-size-independent, so a
     // fused "scalar" row would already carry part of this PR's win).
-    let int_entries = run_workload(
+    let int_chain = run_workload(
+        &env,
         "int_chain",
-        rows,
-        runs,
         &[("scalar", 1, 1, false), ("chunked_batch64", 64, 64, true)],
-        build_int,
+        // BENCH_2's pure-Int workload: no regression allowed here.
+        sel3_chain_workload,
     );
-    let mixed_entries = run_workload(
+    let mixed_chain = run_workload(
+        &env,
         "mixed_chain",
-        rows,
-        runs,
         &[
             ("scalar", 1, 1, false),
             ("unfused_batch64", 64, 64, false),
@@ -265,25 +147,11 @@ fn main() {
         build_mixed,
     );
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = stems_core::runtime::default_workers();
-    let json = format!(
-        "{{\n  \"benchmark\": \"kernel_family_chain3_{rows}x{rows}x{rows}_benefit_cost\",\n  \
-         \"metric\": \"input_rows_per_sec_wall\",\n  \"rows\": {rows},\n  \"runs\": {runs},\n  \
-         \"cores\": {cores},\n  \"workers\": {workers},\n  \
-         \"workloads\": [\n    {{\"name\": \"int_chain\", \"series\": [\n{}\n    ]}},\n    \
-         {{\"name\": \"mixed_chain\", \"series\": [\n{}\n    ]}}\n  ]\n}}\n",
-        series_json(&int_entries),
-        series_json(&mixed_entries),
+    let rows = env.rows;
+    env.write(
+        &format!("kernel_family_chain3_{rows}x{rows}x{rows}_benefit_cost"),
+        "input_rows_per_sec_wall",
+        Fields::new(),
+        Body::Workloads(vec![int_chain, mixed_chain]),
     );
-    validate_json(&json);
-    let path = std::env::var("STEMS_BENCH_OUT").unwrap_or_else(|_| "BENCH_3.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_3.json");
-    // Read back what actually landed on disk — a truncated write must
-    // fail here, not in the next bench PR.
-    let on_disk = std::fs::read_to_string(&path).expect("re-read bench output");
-    validate_json(&on_disk);
-    println!("wrote {path}");
 }

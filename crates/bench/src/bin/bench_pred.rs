@@ -24,10 +24,12 @@
 //!
 //! Quick mode for CI smoke: `STEMS_BENCH_ROWS` (default 20000) and
 //! `STEMS_BENCH_RUNS` (default 3) shrink the workload. Output lands in
-//! `$STEMS_BENCH_OUT` or `./BENCH_9.json`.
+//! `./BENCH_9.json` (`stems_bench::harness::BenchEnv` names the override).
 
+use std::collections::HashMap;
 use std::time::Instant;
-use stems_bench::{env_usize, median, result_hash};
+use stems_bench::harness::{run_series, BenchEnv, Body, Fields, Outcome};
+use stems_bench::result_hash;
 use stems_catalog::{Catalog, QuerySpec, ScanSpec};
 use stems_core::{EddyExecutor, ExecConfig};
 use stems_datagen::{gen::ColGen, TableBuilder};
@@ -68,88 +70,92 @@ fn workload(rows: usize) -> (Catalog, QuerySpec) {
     (catalog, query)
 }
 
+/// One run of a memo × dedup cell.
 struct Cell {
-    label: String,
-    memo: bool,
-    dedup: bool,
+    secs: f64,
     end_time_us: u64,
     udf_calls: u64,
     memo_hits: u64,
     results: usize,
-    median_secs: f64,
     result_hash: String,
 }
 
-fn run_cell(catalog: &Catalog, query: &QuerySpec, memo: bool, dedup: bool, runs: usize) -> Cell {
+impl Outcome for Cell {
+    fn secs(&self) -> f64 {
+        self.secs
+    }
+    fn result_hash(&self) -> &str {
+        &self.result_hash
+    }
+}
+
+fn run_cell(catalog: &Catalog, query: &QuerySpec, memo: bool, dedup: bool) -> Cell {
     let config = ExecConfig {
         memo,
         udf_dedup: dedup,
         ..ExecConfig::default()
     };
-    let mut secs = Vec::new();
-    let mut report = None;
-    for _ in 0..runs {
-        let exec = EddyExecutor::build(catalog, query, config.clone()).expect("plan");
-        let start = Instant::now();
-        let r = exec.run();
-        secs.push(start.elapsed().as_secs_f64());
-        if let Some(prev) = &report {
-            let prev: &stems_core::Report = prev;
-            assert_eq!(prev.end_time, r.end_time, "virtual time must be exact");
-        }
-        report = Some(r);
-    }
-    let report = report.expect("at least one run");
+    let exec = EddyExecutor::build(catalog, query, config).expect("plan");
+    let start = Instant::now();
+    let report = exec.run();
+    let secs = start.elapsed().as_secs_f64();
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     let canonical = report.canonical(catalog, query);
     let rendered: Vec<String> = canonical.iter().map(|row| format!("{row:?}")).collect();
     Cell {
-        label: format!("memo{}_dedup{}", memo as u8, dedup as u8),
-        memo,
-        dedup,
+        secs,
         end_time_us: report.end_time,
         udf_calls: report.counter("udf_calls"),
         memo_hits: report.counter("memo_hits"),
         results: canonical.len(),
-        median_secs: median(secs),
         result_hash: result_hash(rendered),
     }
 }
 
 fn main() {
-    let rows = env_usize("STEMS_BENCH_ROWS", 20_000);
-    let runs = env_usize("STEMS_BENCH_RUNS", 3);
-    let (catalog, query) = workload(rows);
+    let env = BenchEnv::from_env("BENCH_9.json", 20_000, 3);
+    let (catalog, query) = workload(env.rows);
 
-    let cells: Vec<Cell> = [(false, false), (false, true), (true, false), (true, true)]
-        .into_iter()
-        .map(|(memo, dedup)| {
-            let cell = run_cell(&catalog, &query, memo, dedup, runs);
-            println!(
-                "{:<14}: end_time {:>12} µs, {:>6} udf calls, {:>6} memo hits, \
-                 {} results (median {:.4}s wall over {runs} runs)",
-                cell.label,
-                cell.end_time_us,
-                cell.udf_calls,
-                cell.memo_hits,
-                cell.results,
-                cell.median_secs,
-            );
-            cell
+    // Observational equivalence: the levers must not change one verdict,
+    // so every cell reports the same result hash.
+    let series =
+        [(false, false), (false, true), (true, false), (true, true)].map(|(memo, dedup)| {
+            (
+                format!("memo{}_dedup{}", memo as u8, dedup as u8),
+                (memo, dedup),
+            )
+        });
+    let mut end_times: HashMap<(bool, bool), u64> = HashMap::new();
+    let cells = run_series(env.runs, &series, |&(memo, dedup)| {
+        let cell = run_cell(&catalog, &query, memo, dedup);
+        let first = *end_times.entry((memo, dedup)).or_insert(cell.end_time_us);
+        assert_eq!(first, cell.end_time_us, "virtual time must be exact");
+        cell
+    });
+
+    let plain = &cells[0];
+    let entries = series
+        .iter()
+        .zip(&cells)
+        .map(|((label, (memo, dedup)), c)| {
+            Fields::new()
+                .str("label", label)
+                .bool("memo", *memo)
+                .bool("dedup", *dedup)
+                .int("end_time_us", c.end_time_us)
+                .int("udf_calls", c.udf_calls)
+                .int("memo_hits", c.memo_hits)
+                .int("results", c.results)
+                .num("median_secs", c.secs, 6)
+                .str("result_hash", &c.result_hash)
+                .num(
+                    "speedup_vs_plain",
+                    plain.end_time_us as f64 / c.end_time_us.max(1) as f64,
+                    3,
+                )
         })
         .collect();
-
-    // Observational equivalence: the levers must not change one verdict.
-    for cell in &cells[1..] {
-        assert_eq!(
-            cell.result_hash, cells[0].result_hash,
-            "{} changed the result multiset — memoization is not invisible",
-            cell.label
-        );
-        assert_eq!(cell.results, cells[0].results);
-    }
     // The acceptance bar: memo+dedup ≥ MIN_SPEEDUP× in virtual time.
-    let plain = &cells[0];
     let both = cells.last().expect("four cells");
     let speedup = plain.end_time_us as f64 / both.end_time_us.max(1) as f64;
     println!(
@@ -162,39 +168,13 @@ fn main() {
         "memo+dedup speedup {speedup:.2}x below the {MIN_SPEEDUP}x bar"
     );
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = stems_core::runtime::default_workers();
-    let series = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"label\": \"{}\", \"memo\": {}, \"dedup\": {}, \
-                 \"end_time_us\": {}, \"udf_calls\": {}, \"memo_hits\": {}, \
-                 \"results\": {}, \"median_secs\": {:.6}, \"result_hash\": \"{}\", \
-                 \"speedup_vs_plain\": {:.3}}}",
-                c.label,
-                c.memo,
-                c.dedup,
-                c.end_time_us,
-                c.udf_calls,
-                c.memo_hits,
-                c.results,
-                c.median_secs,
-                c.result_hash,
-                plain.end_time_us as f64 / c.end_time_us.max(1) as f64,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"benchmark\": \"memoized_expensive_predicate_{rows}x{DISTINCT}\",\n  \
-         \"metric\": \"virtual_end_time_us\",\n  \"rows\": {rows},\n  \"runs\": {runs},\n  \
-         \"distinct\": {DISTINCT},\n  \"cost_us\": {COST_US},\n  \"cores\": {cores},\n  \
-         \"workers\": {workers},\n  \"series\": [\n{series}\n  ]\n}}\n"
+    let rows = env.rows;
+    env.write(
+        &format!("memoized_expensive_predicate_{rows}x{DISTINCT}"),
+        "virtual_end_time_us",
+        Fields::new()
+            .int("distinct", DISTINCT as u64)
+            .int("cost_us", COST_US),
+        Body::Series(entries),
     );
-    let path = std::env::var("STEMS_BENCH_OUT").unwrap_or_else(|_| "BENCH_9.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_9.json");
-    println!("wrote {path}");
 }

@@ -36,11 +36,12 @@
 //!
 //! Quick mode for CI smoke: `STEMS_BENCH_ROWS` (default 30000),
 //! `STEMS_BENCH_RUNS` (default 3) and `STEMS_BENCH_ENVELOPE` (default
-//! 4096) shrink the workload. Output lands in `$STEMS_BENCH_OUT` or
-//! `./BENCH_5.json`.
+//! 4096) shrink the workload. Output lands in `./BENCH_5.json`
+//! (`stems_bench::harness::BenchEnv` names the override).
 
 use std::time::Instant;
-use stems_bench::{env_usize, median, result_hash};
+use stems_bench::harness::{run_series, BenchEnv, Body, Fields, Run};
+use stems_bench::{env_usize, result_hash};
 use stems_catalog::{Catalog, QuerySpec, ScanSpec, TableInstance};
 use stems_core::stem::ProbeReplySet;
 use stems_core::{ShardedStem, StemOptions, TupleState};
@@ -132,14 +133,8 @@ fn fanout_workload(rows: usize) -> Workload {
     }
 }
 
-struct ProbeOutcomeStats {
-    probes: usize,
-    results: usize,
-    result_hash: String,
-}
-
-/// Build SteM S once, then time probe envelopes of the given size.
-fn run_probes(w: &Workload, envelope: usize, runs: usize) -> (f64, ProbeOutcomeStats) {
+/// Build SteM S of a workload once, and stamp its probe tuples.
+fn build_stem(w: &Workload) -> (ShardedStem, Vec<Tuple>) {
     let s_idx = TableIdx(1);
     let mut stem = ShardedStem::new(
         s_idx,
@@ -175,122 +170,59 @@ fn run_probes(w: &Workload, envelope: usize, runs: usize) -> (f64, ProbeOutcomeS
             Tuple::singleton(TableIdx(0), row.clone()).with_timestamp(TableIdx(0), ts)
         })
         .collect();
+    (stem, probes)
+}
 
-    // Timed passes: drive the probe pipeline, touching replies only
-    // enough to keep them from being optimized away. One reply arena per
-    // workload — the steady-state (allocation-free) reply path.
-    let mut replies = ProbeReplySet::new();
-    let mut secs = Vec::new();
-    for _ in 0..runs {
-        let mut touched = 0usize;
-        let start = Instant::now();
-        for chunk in probes.chunks(envelope) {
+/// One timed pass of probe envelopes of the given size, then an untimed
+/// pass that renders the replies for the result hash.
+fn probe_run(
+    w: &Workload,
+    stem: &ShardedStem,
+    probes: &[Tuple],
+    envelope: usize,
+    replies: &mut ProbeReplySet,
+) -> Run {
+    let mut pass = |visit: &mut dyn FnMut(usize, &ProbeReplySet)| {
+        for (c, chunk) in probes.chunks(envelope).enumerate() {
             let batch: TupleBatch = chunk.iter().cloned().collect();
             let states = vec![TupleState::new(); batch.len()];
             replies.clear();
-            stem.probe_batch_into(batch.as_slice(), &states, &w.query, &mut replies);
-            for (meta, results) in replies.iter() {
-                touched += results.len() + meta.raw_matches;
-            }
+            stem.probe_batch_into(batch.as_slice(), &states, &w.query, replies);
+            visit(c * envelope, replies);
         }
-        secs.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(touched);
-    }
+    };
+    // Timed pass: touch replies only enough to keep them from being
+    // optimized away.
+    let mut touched = 0usize;
+    let start = Instant::now();
+    pass(&mut |_, replies| {
+        for (meta, results) in replies.iter() {
+            touched += results.len() + meta.raw_matches;
+        }
+    });
+    let secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(touched);
 
-    // Untimed verification pass: render the replies for the result hash
-    // (replies are deterministic, so once is enough).
     let mut results = 0usize;
     let mut rendered: Vec<String> = Vec::new();
-    for (c, chunk) in probes.chunks(envelope).enumerate() {
-        let batch: TupleBatch = chunk.iter().cloned().collect();
-        let states = vec![TupleState::new(); batch.len()];
-        replies.clear();
-        stem.probe_batch_into(batch.as_slice(), &states, &w.query, &mut replies);
+    pass(&mut |first, replies| {
         for (p, (meta, reply_results)) in replies.iter().enumerate() {
             results += reply_results.len();
-            for (tuple, _) in reply_results {
-                rendered.push(tuple.to_string());
-            }
-            rendered.push(format!("raw:{}:{}", c * envelope + p, meta.raw_matches));
+            rendered.extend(reply_results.iter().map(|(tuple, _)| tuple.to_string()));
+            rendered.push(format!("raw:{}:{}", first + p, meta.raw_matches));
         }
+    });
+    Run {
+        secs,
+        results,
+        result_hash: result_hash(rendered),
     }
-    (
-        median(secs),
-        ProbeOutcomeStats {
-            probes: probes.len(),
-            results,
-            result_hash: result_hash(rendered),
-        },
-    )
-}
-
-struct Entry {
-    label: String,
-    envelope: usize,
-    probes_per_sec: f64,
-    median_secs: f64,
-    results: usize,
-    result_hash: String,
-}
-
-fn run_workload(w: &Workload, envelopes: &[usize], runs: usize) -> Vec<Entry> {
-    let mut entries: Vec<Entry> = Vec::new();
-    for &envelope in envelopes {
-        let (med, out) = run_probes(w, envelope, runs);
-        if let Some(first) = entries.first() {
-            assert_eq!(
-                out.result_hash, first.result_hash,
-                "{}/envelope{envelope} changed the result multiset — the flat pipeline is \
-                 not scalar-equivalent",
-                w.name
-            );
-            assert_eq!(out.results, first.results);
-        }
-        let probes_per_sec = out.probes as f64 / med;
-        println!(
-            "{:>9}/envelope{envelope:<5}: {probes_per_sec:>12.0} probes/s \
-             (median {med:.4}s over {runs} runs, {} results)",
-            w.name, out.results
-        );
-        entries.push(Entry {
-            label: format!("envelope{envelope}"),
-            envelope,
-            probes_per_sec,
-            median_secs: med,
-            results: out.results,
-            result_hash: out.result_hash,
-        });
-    }
-    entries
-}
-
-fn series_json(entries: &[Entry]) -> String {
-    let scalar = entries[0].probes_per_sec;
-    entries
-        .iter()
-        .map(|e| {
-            format!(
-                "      {{\"label\": \"{}\", \"envelope\": {}, \"probes_per_sec\": {:.0}, \
-                 \"median_secs\": {:.6}, \"results\": {}, \"result_hash\": \"{}\", \
-                 \"speedup_vs_scalar\": {:.3}}}",
-                e.label,
-                e.envelope,
-                e.probes_per_sec,
-                e.median_secs,
-                e.results,
-                e.result_hash,
-                e.probes_per_sec / scalar
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n")
 }
 
 fn main() {
-    let rows = env_usize("STEMS_BENCH_ROWS", 30_000);
-    let runs = env_usize("STEMS_BENCH_RUNS", 3);
+    let env = BenchEnv::from_env("BENCH_5.json", 30_000, 3);
+    let rows = env.rows;
     let envelope = env_usize("STEMS_BENCH_ENVELOPE", 4096);
-    let envelopes = [1usize, envelope];
 
     let workloads = [
         keyed_workload("dup_keys", rows, ColGen::Mod(DUP_DOMAIN), ColGen::Serial, 8),
@@ -303,30 +235,39 @@ fn main() {
         ),
         fanout_workload((rows / 10).max(200)),
     ];
-    let results: Vec<(&'static str, Vec<Entry>)> = workloads
-        .iter()
-        .map(|w| (w.name, run_workload(w, &envelopes, runs)))
-        .collect();
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = stems_core::runtime::default_workers();
-    let json = format!(
-        "{{\n  \"benchmark\": \"flat_probe_pipeline_{rows}x{rows}\",\n  \
-         \"metric\": \"probes_per_sec_wall\",\n  \"rows\": {rows},\n  \"runs\": {runs},\n  \
-         \"envelope\": {envelope},\n  \"cores\": {cores},\n  \"workers\": {workers},\n  \
-         \"workloads\": [\n{}\n  ]\n}}\n",
-        results
+    let mut blocks = Vec::new();
+    for w in &workloads {
+        let (stem, probes) = build_stem(w);
+        // One reply arena per workload — the steady-state
+        // (allocation-free) reply path. Every envelope must produce the
+        // same replies as envelope 1: the flat pipeline is
+        // scalar-equivalent.
+        let mut replies = ProbeReplySet::new();
+        let series = [1usize, envelope].map(|e| (format!("{}/envelope{e}", w.name), e));
+        let outs = run_series(env.runs, &series, |&e| {
+            probe_run(w, &stem, &probes, e, &mut replies)
+        });
+        let entries = series
             .iter()
-            .map(|(name, entries)| format!(
-                "    {{\"name\": \"{name}\", \"series\": [\n{}\n    ]}}",
-                series_json(entries)
-            ))
-            .collect::<Vec<_>>()
-            .join(",\n"),
+            .zip(&outs)
+            .map(|((_, e), out)| {
+                Fields::new()
+                    .str("label", &format!("envelope{e}"))
+                    .int("envelope", *e)
+                    .num("probes_per_sec", probes.len() as f64 / out.secs, 0)
+                    .num("median_secs", out.secs, 6)
+                    .int("results", out.results)
+                    .str("result_hash", &out.result_hash)
+                    .num("speedup_vs_scalar", outs[0].secs / out.secs, 3)
+            })
+            .collect();
+        blocks.push((w.name.to_string(), entries));
+    }
+
+    env.write(
+        &format!("flat_probe_pipeline_{rows}x{rows}"),
+        "probes_per_sec_wall",
+        Fields::new().int("envelope", envelope),
+        Body::Workloads(blocks),
     );
-    let path = std::env::var("STEMS_BENCH_OUT").unwrap_or_else(|_| "BENCH_5.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_5.json");
-    println!("wrote {path}");
 }

@@ -29,12 +29,13 @@
 //!
 //! Quick mode for CI smoke: `STEMS_BENCH_ROWS` (default 2000) and
 //! `STEMS_BENCH_RUNS` (default 3) shrink the workload. Output lands in
-//! `$STEMS_BENCH_OUT` or `./BENCH_8.json`.
+//! `./BENCH_8.json` (`stems_bench::harness::BenchEnv` names the override).
 
 use std::time::Instant;
-use stems_bench::{env_usize, median, render_canonical, result_hash};
+use stems_bench::harness::{run_series, BenchEnv, Body, Fields, Outcome};
+use stems_bench::{render_canonical, result_hash};
 use stems_catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableInstance};
-use stems_core::{QueryServer, QueryStatus, ServerReport, ServerStats, Submission};
+use stems_core::{QueryServer, QueryStatus, ServerReport, Submission};
 use stems_datagen::{gen::ColGen, TableBuilder};
 use stems_types::{CmpOp, ColRef, PredId, Predicate, TableIdx, Value};
 
@@ -99,37 +100,14 @@ fn query_for(catalog: &Catalog, rows: usize, i: usize) -> QuerySpec {
     .unwrap()
 }
 
-fn run_once(
-    catalog: &Catalog,
-    queries: &[QuerySpec],
-    fold: bool,
-) -> (Vec<ServerReport>, ServerStats, f64) {
-    let mut server = QueryServer::builder(catalog).fold(fold).build().unwrap();
-    for q in queries {
-        server.submit(Submission::new(q.clone())).unwrap();
-    }
-    let start = Instant::now();
-    let (handles, stats) = server.serve();
-    let wall = start.elapsed().as_secs_f64();
-    let reports = handles
-        .into_iter()
-        .map(|h| {
-            assert_eq!(h.status, QueryStatus::Completed);
-            h.report.expect("completed query has a report")
-        })
-        .collect();
-    (reports, stats, wall)
-}
-
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
 }
 
-struct SeriesOut {
-    label: &'static str,
-    queries_per_sec: f64,
-    median_secs: f64,
+/// One served stream, reduced to what the JSON records.
+struct ServerRun {
+    secs: f64,
     results_total: usize,
     p50_us: u64,
     p95_us: u64,
@@ -139,15 +117,31 @@ struct SeriesOut {
     result_hash: String,
 }
 
-fn run_series(catalog: &Catalog, queries: &[QuerySpec], fold: bool, runs: usize) -> SeriesOut {
-    let mut secs = Vec::new();
-    let mut last = None;
-    for _ in 0..runs {
-        let (reports, stats, wall) = run_once(catalog, queries, fold);
-        secs.push(wall);
-        last = Some((reports, stats));
+impl Outcome for ServerRun {
+    fn secs(&self) -> f64 {
+        self.secs
     }
-    let (reports, stats) = last.expect("at least one run");
+    fn result_hash(&self) -> &str {
+        &self.result_hash
+    }
+}
+
+/// Submit the whole stream to one server and time `serve()`.
+fn serve_stream(catalog: &Catalog, queries: &[QuerySpec], fold: bool) -> ServerRun {
+    let mut server = QueryServer::builder(catalog).fold(fold).build().unwrap();
+    for q in queries {
+        server.submit(Submission::new(q.clone())).unwrap();
+    }
+    let start = Instant::now();
+    let (handles, stats) = server.serve();
+    let secs = start.elapsed().as_secs_f64();
+    let reports: Vec<ServerReport> = handles
+        .into_iter()
+        .map(|h| {
+            assert_eq!(h.status, QueryStatus::Completed);
+            h.report.expect("completed query has a report")
+        })
+        .collect();
     let mut rendered = Vec::new();
     let mut results_total = 0;
     for (i, sr) in reports.iter().enumerate() {
@@ -158,11 +152,8 @@ fn run_series(catalog: &Catalog, queries: &[QuerySpec], fold: bool, runs: usize)
     }
     let mut latencies: Vec<u64> = reports.iter().map(ServerReport::latency).collect();
     latencies.sort_unstable();
-    let med = median(secs);
-    SeriesOut {
-        label: if fold { "fold_on" } else { "fold_off" },
-        queries_per_sec: queries.len() as f64 / med,
-        median_secs: med,
+    ServerRun {
+        secs,
         results_total,
         p50_us: percentile(&latencies, 0.50),
         p95_us: percentile(&latencies, 0.95),
@@ -174,73 +165,61 @@ fn run_series(catalog: &Catalog, queries: &[QuerySpec], fold: bool, runs: usize)
 }
 
 fn main() {
-    let rows = env_usize("STEMS_BENCH_ROWS", 2000);
-    let runs = env_usize("STEMS_BENCH_RUNS", 3);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let ambient_workers = stems_core::runtime::default_workers();
+    let env = BenchEnv::from_env("BENCH_8.json", 2000, 3);
+    let rows = env.rows;
     let catalog = build_catalog(rows);
 
-    let mut workloads_json = Vec::new();
+    let mut blocks = Vec::new();
     for n in [1usize, 10, 100, 1000] {
         // The 1000-query stream dominates wall time; one run suffices
         // (virtual metrics and result hashes are deterministic anyway).
-        let n_runs = if n >= 1000 { 1 } else { runs };
+        let n_runs = if n >= 1000 { 1 } else { env.runs };
         let queries: Vec<QuerySpec> = (0..n).map(|i| query_for(&catalog, rows, i)).collect();
-        let off = run_series(&catalog, &queries, false, n_runs);
-        let on = run_series(&catalog, &queries, true, n_runs);
-        assert_eq!(
-            off.result_hash, on.result_hash,
-            "folding changed the result multiset at {n} concurrent queries"
-        );
-        assert_eq!(off.results_total, on.results_total);
+        // Folding must not change the result multiset at any concurrency
+        // level.
+        let series =
+            [("fold_off", false), ("fold_on", true)].map(|(l, f)| (format!("q{n}/{l}"), (l, f)));
+        let outs = run_series(n_runs, &series, |&(_, fold)| {
+            serve_stream(&catalog, &queries, fold)
+        });
+        let (off, on) = (&outs[0], &outs[1]);
         println!(
             "q{n}: fold_off {:>8.2} q/s | fold_on {:>8.2} q/s ({:.2}x, {} shared builds vs {} \
              private; virtual p50/p95/p99 {}/{}/{} µs)",
-            off.queries_per_sec,
-            on.queries_per_sec,
-            on.queries_per_sec / off.queries_per_sec,
+            n as f64 / off.secs,
+            n as f64 / on.secs,
+            off.secs / on.secs,
             on.shared_builds,
             n * 3 * rows, // N queries x (R + S + T) rows built privately
             on.p50_us,
             on.p95_us,
             on.p99_us,
         );
-        let series = [&off, &on]
+        let entries = series
             .iter()
-            .map(|e| {
-                format!(
-                    "        {{\"label\": \"{}\", \"queries\": {n}, \"queries_per_sec\": \
-                     {:.3}, \"median_secs\": {:.6}, \"results_total\": {}, \"latency_p50_us\": \
-                     {}, \"latency_p95_us\": {}, \"latency_p99_us\": {}, \"shared_stems\": {}, \
-                     \"shared_builds\": {}, \"result_hash\": \"{}\"}}",
-                    e.label,
-                    e.queries_per_sec,
-                    e.median_secs,
-                    e.results_total,
-                    e.p50_us,
-                    e.p95_us,
-                    e.p99_us,
-                    e.shared_stems,
-                    e.shared_builds,
-                    e.result_hash,
-                )
+            .zip(&outs)
+            .map(|((_, (label, _)), e)| {
+                Fields::new()
+                    .str("label", label)
+                    .int("queries", n)
+                    .num("queries_per_sec", n as f64 / e.secs, 3)
+                    .num("median_secs", e.secs, 6)
+                    .int("results_total", e.results_total)
+                    .int("latency_p50_us", e.p50_us)
+                    .int("latency_p95_us", e.p95_us)
+                    .int("latency_p99_us", e.p99_us)
+                    .int("shared_stems", e.shared_stems)
+                    .int("shared_builds", e.shared_builds)
+                    .str("result_hash", &e.result_hash)
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        workloads_json.push(format!(
-            "    {{\"name\": \"q{n}\", \"series\": [\n{series}\n    ]}}"
-        ));
+            .collect();
+        blocks.push((format!("q{n}"), entries));
     }
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"query_server_chain3_{rows}x{rows}x{rows}\",\n  \"metric\": \
-         \"wall_queries_per_sec_folding_on_vs_off\",\n  \"rows\": {rows},\n  \"runs\": {runs},\n  \
-         \"cores\": {cores},\n  \"workers\": {ambient_workers},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        workloads_json.join(",\n"),
+    env.write(
+        &format!("query_server_chain3_{rows}x{rows}x{rows}"),
+        "wall_queries_per_sec_folding_on_vs_off",
+        Fields::new(),
+        Body::Workloads(blocks),
     );
-    let path = std::env::var("STEMS_BENCH_OUT").unwrap_or_else(|_| "BENCH_8.json".into());
-    std::fs::write(&path, &json).expect("write BENCH_8.json");
-    println!("wrote {path}");
 }

@@ -8,7 +8,10 @@
 //!
 //! Binaries (one per experiment; see DESIGN.md §3 for the index):
 //! `fig7`, `fig8`, `exp_competition`, `exp_spanning_tree`, `exp_reorder`,
-//! `exp_nary_shj`, `exp_grace_hybrid`, `exp_buildfirst`.
+//! `exp_nary_shj`, `exp_grace_hybrid`, `exp_buildfirst`. The `bench_*`
+//! perf-trajectory binaries share the [`harness`] module.
+
+pub mod harness;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -75,12 +78,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         },
         Err(e) => panic!("{name} is not valid unicode: {e}"),
     }
-}
-
-/// Median of a set of wall-clock samples (upper median for even counts).
-pub fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 /// FNV-1a over a byte slice — the deterministic primitive behind the

@@ -350,7 +350,7 @@ impl ShardedStem {
         if probe {
             let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
             for tuple in batch.iter() {
-                match self.probe_lane(&mut spans, tuple, query) {
+                match self.probe_lane(&self.probe_binding(&mut spans, tuple, query)) {
                     Some(lane) => loads[lane] += 1,
                     None => {
                         for l in loads.iter_mut() {
@@ -394,28 +394,39 @@ impl ShardedStem {
         }
     }
 
-    /// Lane decision for one probe — the single source of truth shared by
-    /// [`ShardedStem::probe_batch`] and the parallel-server cost model
+    /// A probe's equi binding, its key resolved and hashed once
+    /// ([`HashedKey`]). `spans` is the caller's per-span linking-predicate
+    /// cache (probe batches are usually span-uniform, so it stays one
+    /// entry).
+    fn probe_binding<'q>(
+        &self,
+        spans: &mut Vec<(TableSet, Vec<&'q Predicate>)>,
+        tuple: &Tuple,
+        query: &'q QuerySpec,
+    ) -> ProbeBinding {
+        let t = self.instance;
+        let li = linking_for(spans, query, tuple.span(), t);
+        equi_binding(&spans[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val)))
+    }
+
+    /// Lane decision for one probe, read from its already-hashed binding —
+    /// the single source of truth shared by
+    /// [`ShardedStem::probe_batch_into`] and the parallel-server cost model
     /// ([`ShardedStem::parallel_service_units`]), so the virtual speedup
     /// series can never drift from the routing the engine performs.
     ///
     /// `Some(shard)`: an equi binding on the shard key column pins the
     /// probe to one shard (equal keys co-locate, and overflow rows can
-    /// never equal a probe key — that shard answers completely).
-    /// `None`: bound on a non-key column, or no binding at all — the
-    /// matching rows are spread across every lane, so the probe fans out.
-    /// `spans` is the caller's per-span linking-predicate cache (probe
-    /// batches are usually span-uniform, so it stays one entry).
-    fn probe_lane<'q>(
-        &self,
-        spans: &mut Vec<(TableSet, Vec<&'q Predicate>)>,
-        tuple: &Tuple,
-        query: &'q QuerySpec,
-    ) -> Option<usize> {
-        let t = self.instance;
-        let li = linking_for(spans, query, tuple.span(), t);
-        match equi_binding(&spans[li].1, tuple, t) {
-            Some((col, val)) if col == self.key_col => Some(self.shard_of_key(&val)),
+    /// never equal a probe key — that shard answers completely;
+    /// un-hashable keys ride the overflow lane). `None`: bound on a
+    /// non-key column, or no binding at all — the matching rows are
+    /// spread across every lane, so the probe fans out.
+    fn probe_lane(&self, binding: &ProbeBinding) -> Option<usize> {
+        match binding {
+            Some((col, key)) if *col == self.key_col => Some(match key.hash() {
+                Some(h) => h.shard(self.num_shards),
+                None => self.num_shards,
+            }),
             _ => None,
         }
     }
@@ -651,23 +662,13 @@ impl ShardedStem {
 
         // Pass 1 (serial): binding resolution + hash + routing decision
         // per probe, all from one computation. Linking predicates are
-        // resolved once per distinct span, as in `Stem::probe_batch`.
+        // resolved once per distinct span, as in `Stem::probe_batch_into`.
         let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
         for (tuple, state) in batch.iter().zip(states) {
-            let li = linking_for(&mut spans, query, tuple.span(), t);
-            let binding: ProbeBinding =
-                equi_binding(&spans[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val)));
-            let lane = match &binding {
-                // A binding on the shard key column pins the probe to one
-                // shard (un-hashable keys ride the overflow lane).
-                Some((col, key)) if *col == self.key_col => Some(match key.hash() {
-                    Some(h) => h.shard(self.num_shards),
-                    None => self.num_shards,
-                }),
-                // Bound on a non-key column, or no binding: fan out (each
-                // shard still gets the binding for its own index descent).
-                _ => None,
-            };
+            let binding = self.probe_binding(&mut spans, tuple, query);
+            // A fanned-out probe still carries its binding to every shard
+            // for the shard's own index descent.
+            let lane = self.probe_lane(&binding);
             match lane {
                 Some(l) => lanes[l].push(tuple, state, &binding),
                 None => {
