@@ -37,7 +37,22 @@ use std::collections::VecDeque;
 use stems_catalog::{Catalog, QuerySpec};
 use stems_sim::{EventQueue, Metrics, SimRng, Time};
 use stems_storage::fxhash::FxHashSet;
-use stems_types::{Predicate, Result, StemsError, TableIdx, Timestamp, Tuple, TupleBatch, Value};
+use stems_types::{
+    Predicate, Result, StemsError, TableIdx, Timestamp, Tuple, TupleBatch, Value, MAX_TABLES,
+};
+
+/// The `span{n}_formed` counter names, indexed by span size `n`: static,
+/// so counting a formed result allocates no name.
+#[rustfmt::skip]
+const SPAN_FORMED: [&str; MAX_TABLES + 1] = [
+    "span0_formed", "span1_formed", "span2_formed", "span3_formed", "span4_formed",
+    "span5_formed", "span6_formed", "span7_formed", "span8_formed", "span9_formed",
+    "span10_formed", "span11_formed", "span12_formed", "span13_formed", "span14_formed",
+    "span15_formed", "span16_formed", "span17_formed", "span18_formed", "span19_formed",
+    "span20_formed", "span21_formed", "span22_formed", "span23_formed", "span24_formed",
+    "span25_formed", "span26_formed", "span27_formed", "span28_formed", "span29_formed",
+    "span30_formed", "span31_formed", "span32_formed",
+];
 
 /// Virtual service times of local (in-process) operations, in µs. These
 /// stand in for the CPU costs of the paper's Java modules; remote costs
@@ -912,7 +927,7 @@ impl EddyExecutor {
                 // §3.4 spanning-tree experiments watch these to see
                 // progress continue while a source is stalled.
                 self.metrics
-                    .bump(&format!("span{}_formed", result.span().len()), self.now, 1);
+                    .bump(SPAN_FORMED[result.span().len()], self.now, 1);
                 let mut rstate = TupleState::for_result(done);
                 rstate.prioritized = state.prioritized || self.is_prioritized(&result);
                 deliveries.push(Delivery {
@@ -1787,6 +1802,13 @@ mod tests {
     use crate::policy::BenefitCostPolicy;
     use stems_catalog::{ScanSpec, TableDef, TableInstance};
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Schema};
+
+    #[test]
+    fn span_formed_names_match_their_index() {
+        for (n, name) in SPAN_FORMED.iter().enumerate() {
+            assert_eq!(*name, format!("span{n}_formed"));
+        }
+    }
 
     /// Star query R ⋈ S, R ⋈ T on column `a` — gives a bounced R tuple two
     /// competing SteM-probe candidates.

@@ -88,18 +88,32 @@ impl Metrics {
     }
 
     /// Add `delta` to a counter and record the new value in the counter's
-    /// series at time `t`.
+    /// series at time `t`. Allocates only the first time a name is seen.
     pub fn bump(&mut self, name: &str, t: Time, delta: u64) {
-        let c = self.counters.entry(name.to_string()).or_insert(0);
-        *c += delta;
-        let v = *c as f64;
-        self.series.entry(name.to_string()).or_default().push(t, v);
+        let v = match self.counters.get_mut(name) {
+            Some(c) => {
+                *c += delta;
+                *c
+            }
+            None => {
+                self.counters.insert(name.to_string(), delta);
+                delta
+            }
+        };
+        self.observe(name, t, v as f64);
     }
 
     /// Record a raw (non-counter) observation in a named series, e.g.
     /// memory footprint or a routing fraction.
     pub fn observe(&mut self, name: &str, t: Time, v: f64) {
-        self.series.entry(name.to_string()).or_default().push(t, v);
+        match self.series.get_mut(name) {
+            Some(s) => s.push(t, v),
+            None => {
+                let mut s = Series::new();
+                s.push(t, v);
+                self.series.insert(name.to_string(), s);
+            }
+        }
     }
 
     /// Current counter value (0 if never bumped).

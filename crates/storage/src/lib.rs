@@ -17,7 +17,9 @@
 //!
 //! * [`ListStore`] — append-only vector, lookups by filtered scan.
 //! * [`HashStore`] — secondary hash indexes on each join column, "pointers
-//!   to the same tuples in memory" (paper §2.1.4) via shared [`Arc<Row>`]s.
+//!   to the same tuples in memory" (paper §2.1.4) via shared [`Arc<Row>`]s:
+//!   each index is a flat chain of row positions under the caller's
+//!   precomputed key hash, never re-hashing a probe key.
 //! * [`AdaptiveStore`] — starts as a list, switches to hash at a threshold.
 //! * [`PartitionedStore`] — Grace-style hash partitions with clustered
 //!   draining, used to delay and batch bounce-backs.
@@ -25,9 +27,8 @@
 //!
 //! Plus [`RowSet`], the set-semantics duplicate filter of §3.2, a small
 //! in-repo Fx-style hasher ([`fxhash`]) for hot integer keys, and the flat
-//! probe machinery: [`CandidateBuf`] (the caller-owned arena behind
-//! [`DictStore::lookup_eq_flat`], with key-run dedup) and [`PrehashedMap`]
-//! (hash-once secondary indexes that never re-hash a probe key).
+//! probe arena [`CandidateBuf`] (caller-owned, behind
+//! [`DictStore::lookup_eq_flat`], with key-run dedup).
 //!
 //! [`Arc<Row>`]: stems_types::Row
 
@@ -39,7 +40,6 @@ mod flat;
 mod hash;
 mod list;
 mod partitioned;
-mod prehash;
 mod sorted;
 mod store;
 
@@ -49,6 +49,5 @@ pub use flat::CandidateBuf;
 pub use hash::HashStore;
 pub use list::ListStore;
 pub use partitioned::PartitionedStore;
-pub use prehash::PrehashedMap;
 pub use sorted::SortedStore;
 pub use store::{index_key, DictStore, StoreKind};

@@ -36,6 +36,12 @@ pub enum Value {
     Eot,
 }
 
+/// Whether a float is integral and small enough to normalize to the `Int`
+/// it equals — the one Int/Float coercion rule of equality keys.
+fn is_integral(f: f64) -> bool {
+    f.fract() == 0.0 && f.abs() < 9.0e15
+}
+
 impl Value {
     /// Build a string value.
     pub fn str(s: &str) -> Value {
@@ -122,8 +128,21 @@ impl Value {
     pub fn equality_key(&self) -> Option<Value> {
         match self {
             Value::Null | Value::Eot => None,
-            Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => Some(Value::Int(*f as i64)),
+            Value::Float(f) if is_integral(*f) => Some(Value::Int(*f as i64)),
             other => Some(other.clone()),
+        }
+    }
+
+    /// `self.equality_key() == Some(key)` without building the normal
+    /// form (no `Str` clone): the value check a hash index runs on every
+    /// chained candidate. `key` must itself be a normal form.
+    pub fn has_equality_key(&self, key: &Value) -> bool {
+        match self {
+            Value::Null | Value::Eot => false,
+            Value::Float(f) if is_integral(*f) => {
+                matches!(key, Value::Int(i) if *i == *f as i64)
+            }
+            other => other == key,
         }
     }
 
@@ -149,9 +168,7 @@ impl Value {
         match self {
             Value::Null | Value::Eot => None,
             // Integral floats normalize to Int, exactly like `index_key`.
-            Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => {
-                Value::Int(*f as i64).stable_key_hash()
-            }
+            Value::Float(f) if is_integral(*f) => Value::Int(*f as i64).stable_key_hash(),
             Value::Bool(b) => Some(mix(mix(0, 1), *b as u64)),
             Value::Int(i) => Some(mix(mix(0, 2), *i as u64)),
             Value::Float(f) => Some(mix(mix(0, 3), f.to_bits())),
@@ -382,6 +399,31 @@ mod tests {
         assert_eq!(b.approx_bytes(), a.approx_bytes());
         assert_eq!(Value::Int(1).approx_bytes(), inline);
         assert_eq!(Value::Null.approx_bytes(), inline);
+    }
+
+    #[test]
+    fn has_equality_key_agrees_with_equality_key() {
+        let vals = [
+            Value::Null,
+            Value::Eot,
+            Value::Int(5),
+            Value::Float(5.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(5.5),
+            Value::Float(1.0e16),
+            Value::str("5"),
+            Value::Bool(true),
+        ];
+        for v in &vals {
+            for k in vals.iter().filter_map(Value::equality_key) {
+                assert_eq!(
+                    v.has_equality_key(&k),
+                    v.equality_key() == Some(k.clone()),
+                    "{v:?} vs normal form {k:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation accounting for the steady-state probe reply path.
+//! Allocation accounting for the steady-state probe reply path and the
+//! SteM build path.
 //!
 //! The probe pipeline promises **zero per-tuple heap allocations** once
 //! its pooled buffers are warm: replies land in a caller-owned
@@ -16,9 +17,15 @@
 //! then timestamp-filtered: the fetch/reply plumbing is exercised, while
 //! result formation — which inherently allocates the concatenated tuple —
 //! stays out of the measurement.
+//!
+//! The build path makes the same promise for a [`HashStore`]: its
+//! secondary indexes are flat position chains, so inserting rows costs
+//! only amortized growth of a few arrays and head tables, never an
+//! allocation per row or per distinct key.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -48,9 +55,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
 use stems::core::stem::{ProbeReplySet, StemOptions};
 use stems::core::{ShardedStem, TupleState};
+use stems::storage::{DictStore, HashStore};
 use stems::types::{
-    CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx, Timestamp, Tuple, TupleBatch,
-    Value,
+    CmpOp, ColRef, ColumnType, PredId, Predicate, Row, Schema, TableIdx, Timestamp, Tuple,
+    TupleBatch, Value,
 };
 
 fn setup() -> (Catalog, QuerySpec) {
@@ -93,6 +101,15 @@ fn setup() -> (Catalog, QuerySpec) {
     (c, q)
 }
 
+/// The allocation counter is process-wide: tests that read it run one at
+/// a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Count allocations across `f`. Deallocations are free by design: the
 /// reply path may *return* pooled memory, it just may never take more.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
@@ -105,6 +122,7 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
     const ROWS: usize = 4096;
     const SMALL: usize = ROWS / 4;
+    let _serial = serial();
     let (_c, q) = setup();
     let mut stem = ShardedStem::new(
         TableIdx(1),
@@ -168,5 +186,49 @@ fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
         big_allocs <= small_allocs + 8,
         "probe reply path allocates per tuple: {SMALL} probes cost {small_allocs} allocations, \
          {ROWS} probes cost {big_allocs}"
+    );
+}
+
+#[test]
+fn hash_store_build_path_allocates_no_memory_per_row() {
+    const WARM: i64 = 1024;
+    const SMALL: i64 = 2048;
+    let _serial = serial();
+    // Indexed on a unique column (one new chain per row) and on a
+    // 7-valued one (long chains); col 2 is a NULL every third row.
+    let rows = |from: i64, n: i64| -> Vec<Arc<Row>> {
+        (from..from + n)
+            .map(|i| {
+                let c2 = if i % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                };
+                Row::shared(vec![Value::Int(i), Value::Int(i % 7), c2])
+            })
+            .collect()
+    };
+    let warm_store = || {
+        let mut s = HashStore::new(&[0, 1, 2]);
+        s.insert_batch(rows(0, WARM));
+        s
+    };
+    let (mut small_store, mut big_store) = (warm_store(), warm_store());
+    let (small, big) = (rows(WARM, SMALL), rows(WARM, 4 * SMALL));
+
+    let (small_allocs, ()) = allocs_during(|| small_store.insert_batch(small));
+    let (big_allocs, ()) = allocs_during(|| big_store.insert_batch(big));
+    assert_eq!(small_store.len(), (WARM + SMALL) as usize);
+    assert_eq!(big_store.len(), (WARM + 4 * SMALL) as usize);
+    let threes = (0..WARM + 4 * SMALL).filter(|i| i % 7 == 3).count();
+    assert_eq!(big_store.lookup_eq(1, &Value::Int(3)).len(), threes);
+
+    // Growth doubles, so 4x the rows costs a couple more reallocations per
+    // array; one allocation per row or per key would add ≈ 3 × SMALL.
+    assert!(
+        big_allocs <= small_allocs + 8,
+        "HashStore build path allocates per row: {SMALL} rows cost {small_allocs} allocations, \
+         {} rows cost {big_allocs}",
+        4 * SMALL
     );
 }
