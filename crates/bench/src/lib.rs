@@ -6,7 +6,7 @@
 //! chart, writes a CSV to `results/`, and evaluates the paper's
 //! qualitative claims as explicit SHAPE-CHECK lines.
 //!
-//! Binaries (one per experiment; see DESIGN.md §3 for the index):
+//! Binaries (one per experiment):
 //! `fig7`, `fig8`, `exp_competition`, `exp_spanning_tree`, `exp_reorder`,
 //! `exp_nary_shj`, `exp_grace_hybrid`, `exp_buildfirst`. The `bench_*`
 //! perf-trajectory binaries share the [`harness`] module.

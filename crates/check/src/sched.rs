@@ -2,7 +2,7 @@
 //!
 //! One *execution* (schedule) runs the model program on real OS threads,
 //! but with exactly one thread unblocked at a time: every visible
-//! operation first parks its thread in [`ExecState::request`], and the
+//! operation first parks its thread in `ExecState::request`, and the
 //! scheduler — running on the thread that called [`crate::model`] —
 //! grants one parked request per step. Which request it grants is the
 //! only source of nondeterminism, so recording the sequence of choices

@@ -1,7 +1,7 @@
 //! Model-aware drop-in replacements for `std::sync` primitives.
 //!
 //! Each primitive wraps its `std` counterpart and remembers whether it
-//! was *created inside a model execution* (a thread-local [`Ctx`] was
+//! was *created inside a model execution* (a thread-local `Ctx` was
 //! live at construction). If so, every visible operation first yields to
 //! the scheduler; otherwise — or when the primitive outlives its
 //! execution — every method is a straight passthrough to `std`, so code

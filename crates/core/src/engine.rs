@@ -117,10 +117,11 @@ pub struct ExecConfig {
     /// scalar-engine equivalence is enforced on every push.
     pub batch_size: usize,
     /// SteM shard fan-out: every SteM's dictionary is hash-partitioned by
-    /// join key into this many shards (plus an overflow shard for
-    /// un-hashable keys) and build/probe envelopes fan out across them —
-    /// see [`crate::sharded::ShardedStem`]. `1` (the default) is the
-    /// unsharded engine. Overridable with the `STEMS_NUM_SHARDS`
+    /// join key into this many shards (plus, above one, an overflow shard
+    /// for un-hashable keys) and build/probe envelopes fan out across
+    /// them — see [`crate::sharded::ShardedStem`], which runs the same
+    /// path at every count. `1` (the default) keeps each SteM in one
+    /// shard. Overridable with the `STEMS_NUM_SHARDS`
     /// environment variable; CI crosses it with the batch-size matrix so
     /// shard-count invariance is enforced on every push. Folded into the
     /// plan's *default* SteM options at build time, unless the plan
@@ -434,6 +435,9 @@ pub struct EddyExecutor {
     /// Reusable probe-reply arena: one per executor, cleared per probe
     /// envelope, so the steady-state reply path never allocates per tuple.
     reply_set: ProbeReplySet,
+    /// Per table instance, the name of its `stem_bytes_{t}` series
+    /// (formatted once, not per sample).
+    stem_bytes_names: Vec<String>,
 }
 
 impl EddyExecutor {
@@ -525,6 +529,9 @@ impl EddyExecutor {
             output_seen: FxHashSet::default(),
             trace: Vec::new(),
             reply_set: ProbeReplySet::new(),
+            stem_bytes_names: (0..query.tables.len())
+                .map(|t| format!("stem_bytes_{}", TableIdx(t as u8)))
+                .collect(),
             config,
         };
         // Emission chunks are capped at the routing batch size — a larger
@@ -833,15 +840,17 @@ impl EddyExecutor {
         };
         let dur = self.config.costs.stem_build_us * units.max(1);
         let mut ts = self.ts_counter;
+        let builds_before = stem.build_count();
         let results = stem.build_batch(&env.batch, &env.states, &mut ts);
         self.ts_counter = ts;
         let mut deliveries = Vec::new();
         let mut unparks = Vec::new();
+        let mut any_fresh = false;
         for ((tuple, state), result) in env.batch.iter().zip(env.states).zip(results) {
             match result {
                 BuildResult::Fresh(stamped) => {
                     self.observe_am_build(&state, true);
-                    self.observe_stem_mem(stem);
+                    any_fresh = true;
                     deliveries.push(Delivery {
                         tuple: stamped,
                         state,
@@ -875,6 +884,9 @@ impl EddyExecutor {
                     });
                 }
             }
+        }
+        if any_fresh {
+            self.observe_stem_mem(stem, builds_before);
         }
         // Collapse redundant AnyBuild signals: one wake-up per batch is
         // enough (parked tuples re-park if still not helped).
@@ -1647,11 +1659,14 @@ impl EddyExecutor {
         }
     }
 
-    fn observe_stem_mem(&mut self, stem: &crate::sharded::ShardedStem) {
-        // Sampled sparsely to keep the series small.
-        if stem.build_count().is_multiple_of(64) {
+    /// Sample a SteM's footprint after an envelope with fresh builds, once
+    /// per envelope whose builds crossed a multiple of 64 (sampled
+    /// sparsely to keep the series small; one-row envelopes sample at
+    /// every 64th build).
+    fn observe_stem_mem(&mut self, stem: &crate::sharded::ShardedStem, builds_before: u64) {
+        if builds_before / 64 != stem.build_count() / 64 {
             self.metrics.observe(
-                &format!("stem_bytes_{}", stem.instance),
+                &self.stem_bytes_names[stem.instance.as_usize()],
                 self.now,
                 stem.approx_bytes() as f64,
             );
@@ -1956,6 +1971,38 @@ mod tests {
         // The dispatched wave's destination joins the touched set, so a
         // following wave offering m2 would count as re-costed too.
         assert!(touched.contains(&m2));
+    }
+
+    /// A 64-row envelope of fresh builds records exactly one
+    /// `stem_bytes_{t}` point: the footprint is sampled once per envelope
+    /// that crosses a multiple of 64 builds, not once per fresh row.
+    #[test]
+    fn stem_memory_is_sampled_once_per_envelope() {
+        let (catalog, query) = star3();
+        let mut exec = EddyExecutor::build(&catalog, &query, ExecConfig::default()).unwrap();
+        let mid = exec.layout.stem_mid[1].expect("S SteM");
+        let envelope = |from: i64, n: i64| {
+            let batch: TupleBatch = (from..from + n)
+                .map(|i| Tuple::singleton_of(TableIdx(1), vec![Value::Int(i), Value::Int(i)]))
+                .collect();
+            Envelope {
+                states: vec![TupleState::new(); batch.len()],
+                batch,
+                purpose: Purpose::Build,
+                clustered: false,
+                prioritized: false,
+            }
+        };
+        let points =
+            |exec: &EddyExecutor| exec.metrics.series("stem_bytes_t1").map_or(0, |s| s.len());
+        exec.process(mid, envelope(100, 64));
+        assert_eq!(points(&exec), 1, "one 64-row fresh envelope, one point");
+        // 63 more builds stay below the next multiple of 64 …
+        exec.process(mid, envelope(200, 63));
+        assert_eq!(points(&exec), 1);
+        // … and an envelope crossing two (128 and 192) samples once.
+        exec.process(mid, envelope(300, 65));
+        assert_eq!(points(&exec), 2);
     }
 
     /// Selection-heavy workload for the fusion tests: two selections over

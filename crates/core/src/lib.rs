@@ -12,16 +12,15 @@
 //! * **Access Modules** ([`am::ScanAm`], [`am::IndexAm`]) — one per access
 //!   method; scans push rows at a rate, indexes answer bound probes
 //!   asynchronously and emit End-Of-Transmission tuples.
-//! * **State Modules** ([`stem::Stem`]) — "half joins": a dictionary per
-//!   table instance handling build/probe, duplicate elimination, EOT
-//!   bookkeeping, timestamp filtering and bounce-back decisions. The
-//!   engine instantiates them behind [`sharded::ShardedStem`], which
-//!   hash-partitions SteM storage by join key ([`ExecConfig::num_shards`]
-//!   / `STEMS_NUM_SHARDS`) and fans build/probe envelopes out across
-//!   shards on the persistent work-stealing worker pool
-//!   ([`runtime::WorkerPool`], sized by [`ExecConfig::workers`] /
-//!   `STEMS_WORKERS`) — observably identical to the unsharded SteM at
-//!   every shard and worker count.
+//! * **State Modules** ([`sharded::ShardedStem`]) — "half joins": one
+//!   per table instance handling build/probe, duplicate elimination, EOT
+//!   bookkeeping, timestamp filtering and bounce-back decisions. A SteM
+//!   hash-partitions its storage by join key into [`stem::Stem`]
+//!   dictionaries ([`ExecConfig::num_shards`] / `STEMS_NUM_SHARDS`) and
+//!   fans build/probe envelopes out across them on the persistent
+//!   work-stealing worker pool ([`runtime::WorkerPool`], sized by
+//!   [`ExecConfig::workers`] / `STEMS_WORKERS`) — one code path,
+//!   observably identical at every shard and worker count.
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
 //!   correctness constraints of paper Table 2 enforced by [`router`].
@@ -88,10 +87,11 @@
 //!    [`policy::RoutingPolicy::choose_batch`] call (default: delegate to
 //!    the scalar `choose` on a representative member) into **one**
 //!    envelope, serviced by the destination module in bulk:
-//!    [`stem::Stem::build_batch`] / [`stem::Stem::probe_batch_into`]
-//!    amortize dictionary maintenance through the storage layer's
-//!    `insert_batch` / `lookup_eq_flat`, and [`sm::Sm::apply_batch`]
-//!    filters whole batches.
+//!    [`sharded::ShardedStem::build_batch`] /
+//!    [`sharded::ShardedStem::probe_batch_into`] amortize dictionary
+//!    work (one index descent per column for a lane's probe keys,
+//!    through the storage layer's `lookup_eq_flat`), and
+//!    [`sm::Sm::apply_batch`] filters whole batches.
 //!
 //! `batch_size: 1` degenerates to exactly the scalar engine (same
 //! decisions, same event counts); `tests/prop_batch_equivalence.rs`

@@ -191,7 +191,7 @@ mod tests {
     use crate::stem::{make_scan_eot_row, BuildResult};
     use crate::tuple_state::{CompletionNeed, PriorProber};
     use stems_catalog::{Catalog, IndexSpec, ScanSpec, TableDef, TableInstance};
-    use stems_types::{CmpOp, ColRef, ColumnType, Predicate, Schema, Timestamp, Value};
+    use stems_types::{CmpOp, ColRef, ColumnType, Predicate, Schema, Timestamp, TupleBatch, Value};
 
     fn setup(index_on_s: bool) -> (Catalog, QuerySpec) {
         let mut c = Catalog::new();
@@ -374,10 +374,11 @@ mod tests {
         // Build an EOT into SteM_S: version bumps, re-probe offered.
         let smid = l.stem_mid[1].unwrap();
         if let Module::Stem(cell) = &mut m[smid] {
-            let eot = Tuple::singleton(TableIdx(1), make_scan_eot_row(2));
+            let eot = TupleBatch::single(Tuple::singleton(TableIdx(1), make_scan_eot_row(2)));
+            let mut ts: Timestamp = 0;
             assert_eq!(
-                cell.lock().build(&eot, &TupleState::new(), 1 as Timestamp),
-                BuildResult::Eot
+                cell.lock().build_batch(&eot, &[TupleState::new()], &mut ts),
+                vec![BuildResult::Eot]
             );
         }
         let acts = candidates(&m, &l, &q, &r, &st, None).unwrap();

@@ -390,7 +390,8 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
     /// executor-stepping jobs). Composite jobs run only on top-level
     /// pool workers or the scope caller — never on a thread that is
     /// already inside another job — so a job holding a shared cell's
-    /// mutex can never re-enter it on its own thread (see [`Job`]).
+    /// mutex can never re-enter it on its own thread (see the private
+    /// `Job` type).
     pub fn spawn_nested(&self, affinity: usize, task: impl FnOnce() + Send + 'env) {
         self.spawn_inner(affinity, task, true);
     }

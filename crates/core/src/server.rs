@@ -22,9 +22,9 @@
 //!   each chunk wave out to every subscribed query, however many queries
 //!   read the table.
 //! * **SteMs** are shared through a registry keyed by
-//!   [`StemKey`] — `(source, join columns, resolved SteM options)`. When
+//!   `StemKey` — `(source, join columns, resolved SteM options)`. When
 //!   query B's key matches query A's, B's plan is rewired
-//!   ([`EddyExecutor::fold_stem`]) to probe the *same* [`StemCell`] A
+//!   (`EddyExecutor::fold_stem`) to probe the *same* [`StemCell`] A
 //!   uses: one build, N probers. The server performs the builds itself
 //!   (one build service per scan wave per entry, not per query) and hands
 //!   every subscriber the same timestamped singletons.
@@ -96,7 +96,7 @@
 //! build waves, each probe serialized under the cell mutex and
 //! schedule-invariant) and the global timestamp counter. Only executors
 //! that still own a private stem-bearing instance can consume the
-//! counter ([`EddyExecutor::has_stem`]); the server partitions each
+//! counter (`EddyExecutor::has_stem`); the server partitions each
 //! wave's runnable executors accordingly. Counter-threading executors
 //! step serially in admission order (the counter is a chain); the rest
 //! are claimed off a [`WaveBarrier`] by `ExecConfig::workers` runner

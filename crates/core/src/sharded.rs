@@ -1,19 +1,29 @@
-//! Hash-partitioned SteMs: the sharding layer over [`Stem`].
+//! The SteM as the engine sees it: [`ShardedStem`] owns build, window,
+//! release and probe fan-out; each shard is a [`Stem`] dictionary.
 //!
-//! A single [`Stem`] serializes every build and probe for its table
-//! through one dictionary — fine for the paper's tuple-at-a-time eddy,
-//! but a hard throughput cap once envelopes carry thousands of rows.
-//! [`ShardedStem`] splits SteM *storage* by join-key hash into
-//! `num_shards` independent shards (each a full [`Stem`]) plus a
-//! dedicated **overflow shard** for rows whose key is un-hashable
-//! (NULL/EOT — the same lane discipline as
-//! `stems_storage::PartitionedStore`), and fans `build_batch` /
+//! A single dictionary serializes every build and probe for its table —
+//! fine for the paper's tuple-at-a-time eddy, but a hard throughput cap
+//! once envelopes carry thousands of rows. [`ShardedStem`] splits SteM
+//! *storage* by join-key hash into `num_shards` independent shards plus,
+//! when there is more than one, a dedicated **overflow shard** for rows
+//! whose key is un-hashable (NULL/EOT — the same lane discipline as
+//! `stems_storage::PartitionedStore`). It fans `build_batch` /
 //! `probe_batch_into` envelopes out across the shards on the persistent
 //! work-stealing worker pool ([`crate::runtime::WorkerPool`] — long-lived
 //! workers, per-shard affinity, no per-envelope thread spawn/join). The
-//! batched envelopes introduced in PR 1 are the natural unit of
-//! distribution: the eddy stays single-threaded and deterministic, and
-//! parallelism lives entirely inside one module service call.
+//! batched envelopes are the natural unit of distribution: the eddy stays
+//! single-threaded and deterministic, and parallelism lives entirely
+//! inside one module service call.
+//!
+//! One path serves every shard count. With `num_shards: 1` there is one
+//! shard and no overflow shard; every envelope still takes the same
+//! route → ingest → stamp build, the same window sweep and release merge,
+//! and the same lane fan-out and reply merge (a one-lane fan-out skips
+//! the timestamp merge, so the Sorted backend keeps its value order).
+//!
+//! A lane is a list of indices into the caller's envelope: no tuple,
+//! state or binding is copied on the way to a shard, and the lane
+//! buffers of both directions are pooled across envelopes.
 //!
 //! Probe fan-outs are additionally **skew-aware**: the routing pass
 //! counts the rows landing in each lane, and every lane is cut into
@@ -25,7 +35,7 @@
 //! *not* split: per-shard dedup is order-dependent, so a build lane is
 //! one worker's unit of work by construction.
 //!
-//! # Semantics: bit-identical to the unsharded engine
+//! # Semantics: the same at every shard count
 //!
 //! Sharding must be invisible to every observable of the engine
 //! (`tests/prop_batch_equivalence.rs` locks shard counts {1, 2, 4, 7}
@@ -38,15 +48,14 @@
 //!   `sql_eq` lives in the probe key's shard and partitioned equality
 //!   lookups stay complete. Un-hashable keys go to the overflow shard,
 //!   which equality probes on the key column never need to visit.
-//! * **Timestamps** — dictionary work (dedup + insert) runs per shard in
-//!   parallel; global build-timestamp assignment stays serial, in batch
-//!   order, exactly like the scalar engine ([`Stem::ingest_batch`] /
-//!   [`Stem::stamp_fresh`]). Duplicates co-locate with their original
+//! * **Timestamps** — dictionary work (dedup + insert) runs per shard,
+//!   in parallel for large envelopes; global build-timestamp assignment
+//!   stays serial, in batch order (`Stem::ingest_batch` /
+//!   `Stem::stamp_fresh`). Duplicates co-locate with their original
 //!   (same row ⇒ same key ⇒ same shard), so per-shard dedup is exact.
-//! * **EOT-versioning** — EOT tuples are broadcast into every shard's EOT
-//!   index, so each shard answers coverage/bounce questions exactly like
-//!   the unsharded SteM and [`ShardedStem::eot_version`] can read any one
-//!   shard.
+//! * **EOT-versioning** — EOT tuples are recorded in every shard's EOT
+//!   index, so each shard answers coverage/bounce questions for the whole
+//!   SteM and [`ShardedStem::eot_version`] can read any one shard.
 //! * **Probe merge** — a probe bound on the shard key column is answered
 //!   by its one shard (plus nothing else: overflow rows cannot match).
 //!   Any other probe fans out to all shards and the per-shard results are
@@ -56,53 +65,49 @@
 //!   backends (List/Hash/Adaptive/Partitioned; the Sorted backend
 //!   orders by value and is multiset-equal only).
 //! * **Deferred release** — per-shard deferred queues are merged and
-//!   clustered by `(bounce partition, build timestamp)`; since the scalar
-//!   release is a stable partition sort over build order, the merged
-//!   order is identical.
+//!   clustered by `(bounce partition, build timestamp)`: a stable
+//!   partition sort over build order.
 //! * **Window sweeps** — a FIFO window is enforced *globally*: the victim
-//!   is always the shard holding the minimum oldest build timestamp.
-//!   Windowed builds take a serial per-tuple path (eviction must
-//!   interleave with inserts exactly as the scalar engine's does).
-//!
-//! `num_shards: 1` skips the layer entirely — one inner [`Stem`], every
-//! call delegated 1:1, zero merge arithmetic — so the default engine is
-//! the PR-3 engine, bit for bit.
+//!   is always the shard holding the minimum oldest build timestamp. A
+//!   windowed SteM runs the build passes one row at a time, each followed
+//!   by the sweep, so an evicted row that re-arrives later in the same
+//!   envelope is built fresh again.
 
 use crate::runtime::{default_parallel_min_rows, default_workers, WorkerPool};
 use crate::stem::{
-    equi_binding, linking_for, BuildResult, ProbeBinding, ProbeReplySet, ReplyMeta, Stem,
-    StemOptions,
+    equi_binding, linking_for, BuildResult, ProbeBinding, ProbeEnvelope, ProbeReplySet, ReplyMeta,
+    SpanLinks, Stem, StemOptions,
 };
-use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
+use crate::sync::{lock_recover, Mutex, MutexGuard};
 use crate::tuple_state::TupleState;
 use stems_catalog::{QuerySpec, SourceId};
-use stems_types::{
-    HashedKey, Predicate, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
-};
+use stems_types::{HashedKey, Row, TableIdx, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS};
 
-/// One probe lane's reusable envelope buffers: the sub-batch routed to a
-/// shard, its states, and the per-tuple bindings resolved (and hashed)
-/// once by the routing pass — the shard's dictionary descent reuses them
-/// verbatim, so no layer below the envelope boundary ever re-hashes.
-#[derive(Debug, Default)]
-struct LaneScratch {
-    batch: TupleBatch,
-    states: Vec<TupleState>,
-    bindings: Vec<ProbeBinding>,
+/// Route marker of an EOT row in [`BuildPool::route`]: recorded in every
+/// shard, ingested by none.
+const EOT_ROUTE: usize = usize::MAX;
+
+/// Reset per-lane index lists for a new envelope (capacity survives).
+fn reset_lanes(lanes: &mut Vec<Vec<usize>>, n_lanes: usize) {
+    lanes.resize_with(n_lanes, Vec::new);
+    for lane in lanes.iter_mut() {
+        lane.clear();
+    }
 }
 
-impl LaneScratch {
-    fn clear(&mut self) {
-        self.batch.clear();
-        self.states.clear();
-        self.bindings.clear();
-    }
-
-    fn push(&mut self, tuple: &Tuple, state: &TupleState, binding: &ProbeBinding) {
-        self.batch.push(tuple.clone());
-        self.states.push(state.clone());
-        self.bindings.push(binding.clone());
-    }
+/// Pooled build fan-out buffers, reused across envelopes (capacity
+/// survives; contents are per envelope). Builds run through `&mut self`,
+/// so no lock is needed.
+#[derive(Debug, Default)]
+struct BuildPool {
+    /// Per envelope member: its shard, or [`EOT_ROUTE`].
+    route: Vec<usize>,
+    /// Per shard: the envelope indices routed there, in batch order.
+    lanes: Vec<Vec<usize>>,
+    /// Per shard: [`Stem::ingest_batch`]'s fresh/duplicate verdicts.
+    fresh: Vec<Vec<bool>>,
+    /// Per shard: how many verdicts the stamping pass has consumed.
+    cursors: Vec<usize>,
 }
 
 /// Pooled probe fan-out buffers, reused across envelopes (capacity
@@ -110,11 +115,16 @@ impl LaneScratch {
 /// probes run through `&self`; the lock is taken once per envelope.
 #[derive(Debug, Default)]
 struct ProbePool {
-    lanes: Vec<LaneScratch>,
+    /// Per envelope member: its span's index in the envelope's span cache
+    /// and its binding, resolved and hashed once.
+    plans: Vec<(usize, ProbeBinding)>,
+    /// Per shard: the envelope indices probing it, in batch order.
+    lanes: Vec<Vec<usize>>,
+    /// Per envelope member: its one lane, or `None` when it fans out.
     lane_of: Vec<Option<usize>>,
     /// Dispatch units of the current envelope: `(lane, start, end)`
-    /// sub-ranges of each lane's sub-batch, lane-major — the skew-aware
-    /// chunking of hot lanes (see the module docs).
+    /// sub-ranges of each lane, lane-major — the skew-aware chunking of
+    /// hot lanes (see the module docs).
     tasks: Vec<(usize, usize, usize)>,
     /// One reply arena per dispatch unit (capacity reused).
     chunk_sets: Vec<ProbeReplySet>,
@@ -123,27 +133,26 @@ struct ProbePool {
 }
 
 /// A State Module whose dictionary is hash-partitioned across
-/// `num_shards` independent [`Stem`] shards plus one overflow shard.
+/// `num_shards` independent [`Stem`] shards (plus one overflow shard when
+/// `num_shards > 1`).
 ///
 /// This is the type the engine instantiates per table instance
-/// ([`crate::plan::Module::Stem`]); its public surface mirrors [`Stem`]'s
-/// with aggregate accessors summing (or maxing) across shards.
+/// ([`crate::plan::Module::Stem`]); its accessors sum (or max) across
+/// shards.
 pub struct ShardedStem {
     pub instance: TableIdx,
     pub source: SourceId,
     pub has_scan_am: bool,
     pub has_index_am: bool,
-    /// `num_shards == 1`: exactly one inner Stem (no overflow shard, no
-    /// routing). Otherwise `num_shards` keyed shards followed by the
-    /// overflow shard at index `num_shards`.
+    /// `num_shards` keyed shards, followed — when `num_shards > 1` — by
+    /// the overflow shard, so the last shard always takes un-hashable
+    /// keys.
     shards: Vec<Stem>,
     num_shards: usize,
     /// First join column — the shard key (also the deferred-bounce
     /// partition column inside each shard).
     key_col: usize,
-    /// Global FIFO window when sharded (inner shards run unbounded and
-    /// this layer evicts across them); `None` when unbounded or when
-    /// `num_shards == 1` (the inner Stem owns its window).
+    /// Global FIFO window across all shards (`None` = unbounded).
     window: Option<usize>,
     /// Worker-pool budget for this SteM's envelope fan-outs (resolved
     /// from [`StemOptions::workers`] at construction).
@@ -151,6 +160,8 @@ pub struct ShardedStem {
     /// Minimum routed rows before an envelope dispatches to the pool
     /// (resolved from [`StemOptions::parallel_min_rows`]).
     parallel_min_rows: usize,
+    /// Pooled build fan-out buffers (see [`BuildPool`]).
+    build_pool: BuildPool,
     /// Pooled probe fan-out buffers (see [`ProbePool`]).
     probe_pool: Mutex<ProbePool>,
 }
@@ -168,8 +179,9 @@ impl std::fmt::Debug for ShardedStem {
 }
 
 impl ShardedStem {
-    /// Create the sharded SteM for `instance` of `source`. `opts.num_shards`
-    /// decides the fan-out; all other options apply to every shard.
+    /// Create the SteM for `instance` of `source`. `opts.num_shards`
+    /// decides the fan-out and `opts.eviction_window` the global window;
+    /// all other options apply to every shard.
     pub fn new(
         instance: TableIdx,
         source: SourceId,
@@ -179,41 +191,19 @@ impl ShardedStem {
         opts: StemOptions,
     ) -> ShardedStem {
         let num_shards = opts.num_shards.max(1);
-        let window = opts.eviction_window;
-        let workers = opts.workers.unwrap_or_else(default_workers).max(1);
-        let parallel_min_rows = opts
-            .parallel_min_rows
-            .unwrap_or_else(default_parallel_min_rows)
-            .max(1);
-        let shards: Vec<Stem> = if num_shards == 1 {
-            vec![Stem::new(
-                instance,
-                source,
-                join_cols,
-                has_scan_am,
-                has_index_am,
-                opts,
-            )]
-        } else {
-            // Inner shards run unbounded; the FIFO window is enforced
-            // globally by this layer so eviction order matches the
-            // unsharded SteM's.
-            (0..=num_shards)
-                .map(|_| {
-                    Stem::new(
-                        instance,
-                        source,
-                        join_cols,
-                        has_scan_am,
-                        has_index_am,
-                        StemOptions {
-                            eviction_window: None,
-                            ..opts.clone()
-                        },
-                    )
-                })
-                .collect()
-        };
+        let overflow = usize::from(num_shards > 1);
+        let shards = (0..num_shards + overflow)
+            .map(|_| {
+                Stem::new(
+                    instance,
+                    source,
+                    join_cols,
+                    has_scan_am,
+                    has_index_am,
+                    opts.clone(),
+                )
+            })
+            .collect();
         ShardedStem {
             instance,
             source,
@@ -222,9 +212,13 @@ impl ShardedStem {
             shards,
             num_shards,
             key_col: join_cols.first().copied().unwrap_or(0),
-            window: if num_shards == 1 { None } else { window },
-            workers,
-            parallel_min_rows,
+            window: opts.eviction_window,
+            workers: opts.workers.unwrap_or_else(default_workers).max(1),
+            parallel_min_rows: opts
+                .parallel_min_rows
+                .unwrap_or_else(default_parallel_min_rows)
+                .max(1),
+            build_pool: BuildPool::default(),
             probe_pool: Mutex::new(ProbePool::default()),
         }
     }
@@ -252,11 +246,23 @@ impl ShardedStem {
         lock_recover(&self.probe_pool, |pool| *pool = ProbePool::default())
     }
 
+    /// The shards, keyed shards first (test hook for per-shard state).
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> &[Stem] {
+        &self.shards
+    }
+
+    /// Mutable shard access (test hook for per-shard state).
+    #[cfg(test)]
+    pub(crate) fn shard_mut(&mut self, i: usize) -> &mut Stem {
+        &mut self.shards[i]
+    }
+
     // ------------------------------------------------------------------
     // Aggregate accessors (sum / max / any-shard across the fan-out)
     // ------------------------------------------------------------------
 
-    /// Keyed shard fan-out (1 = unsharded).
+    /// Keyed shard fan-out.
     pub fn num_shards(&self) -> usize {
         self.num_shards
     }
@@ -281,20 +287,19 @@ impl ShardedStem {
         self.shards.iter().map(Stem::approx_bytes).collect()
     }
 
-    /// Has the full relation arrived? (EOTs are broadcast, any shard
+    /// Has the full relation arrived? (EOTs reach every shard, any shard
     /// answers.)
     pub fn scan_complete(&self) -> bool {
         self.shards[0].scan_complete()
     }
 
-    /// EOT change counter — broadcast keeps every shard's count equal to
-    /// the unsharded SteM's.
+    /// EOT change counter — every shard records every EOT, so any one
+    /// shard's count is the SteM's.
     pub fn eot_version(&self) -> u64 {
         self.shards[0].eot_version()
     }
 
-    /// Max build timestamp across shards (timestamps are global, so this
-    /// equals the unsharded SteM's `max_ts`).
+    /// Max build timestamp across shards (timestamps are global).
     pub fn max_ts(&self) -> Timestamp {
         self.shards.iter().map(|s| s.max_ts).max().unwrap_or(0)
     }
@@ -335,40 +340,29 @@ impl ShardedStem {
     /// independent server, so the envelope completes when the *busiest*
     /// shard does — the unit count is the max per-shard load, computed
     /// with the same routing the envelope will actually take (keyed
-    /// probes hit one shard; fan-out probes and EOT broadcasts load every
-    /// shard). Unsharded SteMs are serial servers: units = batch length.
+    /// probes hit one shard; fan-out probes and EOTs load every shard).
+    /// One shard is one serial server: units = batch length.
     pub fn parallel_service_units(
         &self,
         batch: &TupleBatch,
         query: &QuerySpec,
         probe: bool,
     ) -> u64 {
-        if self.num_shards == 1 || batch.is_empty() {
-            return batch.len() as u64;
-        }
         let mut loads = vec![0u64; self.shards.len()];
+        let mut load = |lane: Option<usize>| match lane {
+            Some(l) => loads[l] += 1,
+            None => loads.iter_mut().for_each(|l| *l += 1),
+        };
         if probe {
-            let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
+            let mut links: SpanLinks = Vec::new();
             for tuple in batch.iter() {
-                match self.probe_lane(&self.probe_binding(&mut spans, tuple, query)) {
-                    Some(lane) => loads[lane] += 1,
-                    None => {
-                        for l in loads.iter_mut() {
-                            *l += 1;
-                        }
-                    }
-                }
+                let (_, binding) = self.probe_plan(&mut links, tuple, query);
+                load(self.probe_lane(&binding));
             }
         } else {
             for tuple in batch.iter() {
                 let row = &tuple.components()[0].row;
-                if row.is_eot() {
-                    for l in loads.iter_mut() {
-                        *l += 1;
-                    }
-                } else {
-                    loads[self.shard_of_row(row)] += 1;
-                }
+                load((!row.is_eot()).then(|| self.shard_of_row(row)));
             }
         }
         loads.into_iter().max().unwrap_or(0)
@@ -378,35 +372,38 @@ impl ShardedStem {
     // Routing
     // ------------------------------------------------------------------
 
-    /// The shard a hashable key belongs to; un-hashable keys (NULL/EOT)
-    /// route to the overflow shard at index `num_shards`.
-    fn shard_of_key(&self, key: &Value) -> usize {
-        match key.stable_key_hash() {
-            Some(h) => (h % self.num_shards as u64) as usize,
-            None => self.num_shards,
-        }
+    /// The shard that takes un-hashable keys (NULL/EOT): the overflow
+    /// shard, or the only shard.
+    fn overflow_shard(&self) -> usize {
+        self.shards.len() - 1
     }
 
+    /// The shard a row's key belongs to (a lone shard takes every row
+    /// without hashing its key).
     fn shard_of_row(&self, row: &Row) -> usize {
-        match row.get(self.key_col) {
-            Some(v) => self.shard_of_key(v),
-            None => self.num_shards,
+        if self.shards.len() == 1 {
+            return 0;
+        }
+        match row.get(self.key_col).and_then(Value::stable_key_hash) {
+            Some(h) => (h % self.num_shards as u64) as usize,
+            None => self.overflow_shard(),
         }
     }
 
-    /// A probe's equi binding, its key resolved and hashed once
-    /// ([`HashedKey`]). `spans` is the caller's per-span linking-predicate
-    /// cache (probe batches are usually span-uniform, so it stays one
-    /// entry).
-    fn probe_binding<'q>(
+    /// A probe's span-cache index and equi binding, its key resolved and
+    /// hashed once ([`HashedKey`]). `links` is the envelope's span cache
+    /// (probe batches are usually span-uniform, so it stays one entry).
+    fn probe_plan<'q>(
         &self,
-        spans: &mut Vec<(TableSet, Vec<&'q Predicate>)>,
+        links: &mut SpanLinks<'q>,
         tuple: &Tuple,
         query: &'q QuerySpec,
-    ) -> ProbeBinding {
+    ) -> (usize, ProbeBinding) {
         let t = self.instance;
-        let li = linking_for(spans, query, tuple.span(), t);
-        equi_binding(&spans[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val)))
+        let li = linking_for(links, query, tuple.span(), t);
+        let binding =
+            equi_binding(&links[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val)));
+        (li, binding)
     }
 
     /// Lane decision for one probe, read from its already-hashed binding —
@@ -425,7 +422,7 @@ impl ShardedStem {
         match binding {
             Some((col, key)) if *col == self.key_col => Some(match key.hash() {
                 Some(h) => h.shard(self.num_shards),
-                None => self.num_shards,
+                None => self.overflow_shard(),
             }),
             _ => None,
         }
@@ -435,54 +432,15 @@ impl ShardedStem {
     // Build
     // ------------------------------------------------------------------
 
-    /// Build one tuple; mirrors [`Stem::build`] (`ts` is the next global
-    /// timestamp, consumed only on a fresh insert).
-    pub fn build(&mut self, tuple: &Tuple, state: &TupleState, ts: Timestamp) -> BuildResult {
-        if self.num_shards == 1 {
-            return self.shards[0].build(tuple, state, ts);
-        }
-        let mut counter = ts.saturating_sub(1);
-        self.build_one(tuple, state, &mut counter)
-    }
-
-    fn build_one(
-        &mut self,
-        tuple: &Tuple,
-        state: &TupleState,
-        ts_counter: &mut Timestamp,
-    ) -> BuildResult {
-        let row = tuple.components()[0].row.clone();
-        if row.is_eot() {
-            return self.build_eot(tuple, state);
-        }
-        let s = self.shard_of_row(&row);
-        let result = self.shards[s].build(tuple, state, *ts_counter + 1);
-        if matches!(result, BuildResult::Fresh(_) | BuildResult::Deferred) {
-            *ts_counter += 1;
-        }
-        self.enforce_window();
-        result
-    }
-
-    /// Broadcast an EOT tuple into every shard's EOT index (EOTs consume
-    /// no timestamp and are not stored as data, so the broadcast is pure
-    /// bookkeeping — it keeps per-shard coverage/bounce decisions equal
-    /// to the unsharded SteM's).
-    fn build_eot(&mut self, tuple: &Tuple, state: &TupleState) -> BuildResult {
-        for shard in &mut self.shards {
-            let r = shard.build(tuple, state, 0);
-            debug_assert_eq!(r, BuildResult::Eot);
-        }
-        BuildResult::Eot
-    }
-
-    /// Build a whole envelope; mirrors [`Stem::build_batch`]. Dictionary
-    /// work (dedup + insert) is fanned out across shards — on the
-    /// persistent worker pool once the envelope is large enough — while
-    /// timestamp assignment stays serial in batch order, so results are
-    /// identical to the unsharded engine's at any shard and worker count.
-    /// Build lanes are never chunked: per-shard dedup is order-dependent
-    /// within a lane, so one lane is one task (affinity = shard index).
+    /// Build a whole envelope, consuming timestamps from `ts_counter` as
+    /// fresh inserts happen. Dedup, timestamping and bounce decisions
+    /// stay per tuple (intra-batch duplicates are absorbed exactly like
+    /// cross-batch ones). Dictionary work (dedup + insert) is fanned out
+    /// across shards — on the persistent worker pool once the envelope
+    /// is large enough — while timestamp assignment stays serial in
+    /// batch order, so results are identical at any shard and worker
+    /// count. A windowed SteM builds one row at a time, sweeping the
+    /// window after each.
     pub fn build_batch(
         &mut self,
         batch: &TupleBatch,
@@ -490,106 +448,110 @@ impl ShardedStem {
         ts_counter: &mut Timestamp,
     ) -> Vec<BuildResult> {
         debug_assert_eq!(batch.len(), states.len());
-        if self.num_shards == 1 {
-            return self.shards[0].build_batch(batch, states, ts_counter);
+        let mut results = Vec::with_capacity(batch.len());
+        let mut pool = std::mem::take(&mut self.build_pool);
+        let step = if self.window.is_some() {
+            1
+        } else {
+            batch.len().max(1)
+        };
+        for (rows, row_states) in batch.as_slice().chunks(step).zip(states.chunks(step)) {
+            self.build_rows(&mut pool, rows, row_states, ts_counter, &mut results);
+            self.enforce_window();
         }
-        if self.window.is_some() {
-            // Windowed: the scalar engine inserts and sweeps per tuple;
-            // a batch-deferred insert would mis-handle intra-batch
-            // re-arrivals of evicted rows (see the windowed Stem tests).
-            return batch
-                .iter()
-                .zip(states)
-                .map(|(tuple, state)| self.build_one(tuple, state, ts_counter))
-                .collect();
-        }
+        self.build_pool = pool;
+        results
+    }
 
-        let n = batch.len();
+    /// The three build passes over `batch`, appending one result per
+    /// member to `results`: route (serial), ingest (per shard, parallel
+    /// when large), stamp (serial, batch order).
+    fn build_rows(
+        &mut self,
+        pool: &mut BuildPool,
+        batch: &[Tuple],
+        states: &[TupleState],
+        ts_counter: &mut Timestamp,
+        results: &mut Vec<BuildResult>,
+    ) {
         let n_lanes = self.shards.len();
-        // Pass 1 (serial): route rows to shards; apply EOTs immediately
-        // (they interact with no dictionary state, so position within the
-        // batch is irrelevant — exactly as in the scalar engine).
-        let mut results: Vec<Option<BuildResult>> = (0..n).map(|_| None).collect();
-        let mut route: Vec<usize> = Vec::with_capacity(n);
-        let mut lane_rows: Vec<Vec<Arc<Row>>> = vec![Vec::new(); n_lanes];
-        let mut lane_idx: Vec<Vec<usize>> = vec![Vec::new(); n_lanes];
-        for (i, (tuple, state)) in batch.iter().zip(states).enumerate() {
-            let row = tuple.components()[0].row.clone();
+        let BuildPool {
+            route,
+            lanes,
+            fresh,
+            cursors,
+        } = pool;
+        route.clear();
+        route.reserve(batch.len());
+        reset_lanes(lanes, n_lanes);
+        fresh.resize_with(n_lanes, Vec::new);
+        cursors.clear();
+        cursors.resize(n_lanes, 0);
+
+        // Pass 1 (serial): route rows to shards; record EOTs in every
+        // shard at once (they touch no dictionary state, so their
+        // position within the batch is irrelevant).
+        for (i, tuple) in batch.iter().enumerate() {
+            let row = &tuple.components()[0].row;
             if row.is_eot() {
-                results[i] = Some(self.build_eot(tuple, state));
-                route.push(usize::MAX);
+                for shard in &mut self.shards {
+                    shard.record_eot(row);
+                }
+                route.push(EOT_ROUTE);
             } else {
-                let s = self.shard_of_row(&row);
-                lane_rows[s].push(row);
-                lane_idx[s].push(i);
+                let s = self.shard_of_row(row);
+                lanes[s].push(i);
                 route.push(s);
             }
         }
 
-        // Pass 2 (parallel): per-shard dedup + dictionary insert, one
-        // pool task per busy lane with the lane index as worker affinity
-        // (the worker that last built a shard re-runs it, caches warm).
-        let routed: usize = lane_rows.iter().map(Vec::len).sum();
-        let busy_lanes = lane_rows.iter().filter(|l| !l.is_empty()).count();
-        let mut fresh_lists: Vec<Vec<bool>> = vec![Vec::new(); n_lanes];
+        // Pass 2: per-shard dedup + dictionary insert, one pool task per
+        // busy lane with the lane index as worker affinity (the worker
+        // that last built a shard re-runs it, caches warm).
+        let routed: usize = lanes.iter().map(Vec::len).sum();
+        let busy_lanes = lanes.iter().filter(|l| !l.is_empty()).count();
+        let lane_work = self
+            .shards
+            .iter_mut()
+            .zip(lanes.iter())
+            .zip(fresh.iter_mut());
         if routed >= self.parallel_min_rows && busy_lanes > 1 && self.workers > 1 {
             WorkerPool::global().scope(self.workers, |scope| {
-                for (lane_i, ((shard, rows), out)) in self
-                    .shards
-                    .iter_mut()
-                    .zip(&lane_rows)
-                    .zip(fresh_lists.iter_mut())
-                    .enumerate()
-                {
-                    if rows.is_empty() {
-                        continue;
+                for (lane_i, ((shard, lane), out)) in lane_work.enumerate() {
+                    if !lane.is_empty() {
+                        scope.spawn(lane_i, move || shard.ingest_batch(batch, lane, out));
                     }
-                    scope.spawn(lane_i, move || {
-                        *out = shard.ingest_batch(rows);
-                    });
                 }
             });
         } else {
-            for ((shard, rows), out) in self
-                .shards
-                .iter_mut()
-                .zip(&lane_rows)
-                .zip(fresh_lists.iter_mut())
-            {
-                if !rows.is_empty() {
-                    *out = shard.ingest_batch(rows);
+            for ((shard, lane), out) in lane_work {
+                if !lane.is_empty() {
+                    shard.ingest_batch(batch, lane, out);
                 }
             }
         }
-        let mut fresh = vec![false; n];
-        for (lane, idxs) in lane_idx.iter().enumerate() {
-            for (j, &i) in idxs.iter().enumerate() {
-                fresh[i] = fresh_lists[lane][j];
-            }
-        }
 
-        // Pass 3 (serial): global timestamps in batch order — the exact
-        // sequence the unsharded `build_batch` would assign.
-        for (i, (tuple, state)) in batch.iter().zip(states).enumerate() {
-            if route[i] == usize::MAX {
-                continue;
-            }
-            results[i] = Some(if fresh[i] {
-                *ts_counter += 1;
-                self.shards[route[i]].stamp_fresh(tuple, state, *ts_counter)
+        // Pass 3 (serial): global timestamps in batch order. Each lane's
+        // verdicts are in batch order, so one cursor per lane suffices.
+        for ((tuple, state), &s) in batch.iter().zip(states).zip(route.iter()) {
+            results.push(if s == EOT_ROUTE {
+                BuildResult::Eot
             } else {
-                BuildResult::Duplicate
+                let is_fresh = fresh[s][cursors[s]];
+                cursors[s] += 1;
+                if is_fresh {
+                    *ts_counter += 1;
+                    self.shards[s].stamp_fresh(tuple, state, *ts_counter)
+                } else {
+                    BuildResult::Duplicate
+                }
             });
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch member resolved"))
-            .collect()
     }
 
     /// Enforce the global FIFO window: evict from whichever shard holds
     /// the globally oldest row (minimum build timestamp) until the total
-    /// population fits — the same victim sequence as the unsharded SteM.
+    /// population fits.
     fn enforce_window(&mut self) {
         let Some(window) = self.window else {
             return;
@@ -614,25 +576,25 @@ impl ShardedStem {
     // Probe
     // ------------------------------------------------------------------
 
-    /// Probe a whole envelope into the caller-owned reply arena; mirrors
-    /// [`Stem::probe_batch_into`]. Probes bound on the shard key column
-    /// go to exactly their key's shard; all other probes fan out to every
-    /// shard (overflow included) and the partial replies are merged by
-    /// ascending build timestamp — global insertion order, i.e. the
-    /// single-shard candidate order.
+    /// Probe a whole envelope into the caller-owned reply arena, appending
+    /// one reply per tuple in batch order. Probes bound on the shard key
+    /// column go to exactly their key's shard; all other probes fan out
+    /// to every shard and, when there is more than one, the partial
+    /// replies are merged by ascending build timestamp — global insertion
+    /// order, i.e. the single-shard candidate order.
     ///
     /// Hash-once: the routing pass resolves and hashes every binding key
     /// exactly one time ([`HashedKey`]); the shard index `h % num_shards`
     /// and the shard dictionary's index descent read that same
-    /// annotation. Lane sub-batches, dispatch chunks and per-chunk reply
-    /// arenas live in a pool reused across fan-outs ([`ProbePool`]), so a
-    /// steady probe stream allocates no envelope buffers.
+    /// annotation. Lanes are index lists into `batch`; they, the dispatch
+    /// chunks and the per-chunk reply arenas live in a pool reused across
+    /// fan-outs, so a steady probe stream allocates no envelope buffers.
     ///
     /// Skew rebalancing: each lane is cut into chunks of at most
     /// `ceil(routed / workers)` rows, so one hot lane spreads across the
     /// worker budget; probes are read-only, so chunking cannot change any
-    /// reply. The serial path (small envelope / one busy lane / one
-    /// worker) runs the same code with one chunk per lane.
+    /// reply. The serial path (small envelope / one worker) runs the same
+    /// code with one chunk per lane.
     pub fn probe_batch_into(
         &self,
         batch: &[Tuple],
@@ -641,53 +603,53 @@ impl ShardedStem {
         out: &mut ProbeReplySet,
     ) {
         debug_assert_eq!(batch.len(), states.len());
-        if self.num_shards == 1 {
-            return self.shards[0].probe_batch_into(batch, states, query, out);
-        }
         let t = self.instance;
         let n_lanes = self.shards.len();
         let mut pool = self.lock_probe_pool();
         let ProbePool {
+            plans,
             lanes,
             lane_of,
             tasks,
             chunk_sets,
             cursors,
         } = &mut *pool;
-        lanes.resize_with(n_lanes, LaneScratch::default);
-        for lane in lanes.iter_mut() {
-            lane.clear();
-        }
+        plans.clear();
+        plans.reserve(batch.len());
+        reset_lanes(lanes, n_lanes);
         lane_of.clear();
+        lane_of.reserve(batch.len());
 
         // Pass 1 (serial): binding resolution + hash + routing decision
-        // per probe, all from one computation. Linking predicates are
-        // resolved once per distinct span, as in `Stem::probe_batch_into`.
-        let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
-        for (tuple, state) in batch.iter().zip(states) {
-            let binding = self.probe_binding(&mut spans, tuple, query);
-            // A fanned-out probe still carries its binding to every shard
-            // for the shard's own index descent.
-            let lane = self.probe_lane(&binding);
+        // per probe, all from one computation. A fanned-out probe still
+        // carries its binding to every shard for the shard's own index
+        // descent.
+        let mut links: SpanLinks = Vec::new();
+        for (i, tuple) in batch.iter().enumerate() {
+            let plan = self.probe_plan(&mut links, tuple, query);
+            let lane = self.probe_lane(&plan.1);
             match lane {
-                Some(l) => lanes[l].push(tuple, state, &binding),
-                None => {
-                    for lane in lanes.iter_mut() {
-                        lane.push(tuple, state, &binding);
-                    }
-                }
+                Some(l) => lanes[l].push(i),
+                None => lanes.iter_mut().for_each(|lane| lane.push(i)),
             }
             lane_of.push(lane);
+            plans.push(plan);
         }
+        let env = ProbeEnvelope {
+            batch,
+            states,
+            query,
+            links: &links,
+            plans,
+        };
 
-        // Pass 2 (parallel): cut lanes into dispatch chunks and run them
-        // on the pool. A keyed-skewed envelope (every probe hashing to
-        // one shard) yields chunks that spread across the worker budget
-        // instead of serializing behind one lane.
-        let work: usize = lanes.iter().map(|l| l.batch.len()).sum();
-        // Unlike the build fan-out, probe parallelism does not require
-        // more than one busy lane: chunking splits even a single hot
-        // lane (every probe keyed to one value) across the budget.
+        // Pass 2: cut lanes into dispatch chunks and run them, on the
+        // pool when the envelope is large enough. A keyed-skewed envelope
+        // (every probe hashing to one shard) yields chunks that spread
+        // across the worker budget instead of serializing behind one
+        // lane, so — unlike the build fan-out — probe parallelism does
+        // not require more than one busy lane.
+        let work: usize = lanes.iter().map(Vec::len).sum();
         let parallel = work >= self.parallel_min_rows && self.workers > 1 && work > 1;
         let chunk_target = if parallel {
             work.div_ceil(self.workers).max(1)
@@ -699,45 +661,41 @@ impl ShardedStem {
         for (lane_i, lane) in lanes.iter().enumerate() {
             // The merge pass starts each lane at its first chunk.
             cursors.push(tasks.len());
-            let n = lane.batch.len();
             let mut start = 0;
-            while start < n {
-                let end = (start + chunk_target).min(n);
+            while start < lane.len() {
+                let end = start.saturating_add(chunk_target).min(lane.len());
                 tasks.push((lane_i, start, end));
                 start = end;
             }
+        }
+        // The prober records the whole SteM's max timestamp, not one
+        // shard's.
+        let observed_ts = self.max_ts();
+        if let [(lane_i, start, end)] = tasks[..] {
+            // One chunk holds the whole envelope in batch order (one lane,
+            // or every probe keyed to one shard): its replies need no
+            // merge and go straight into `out`.
+            let first = out.len();
+            self.shards[lane_i].probe_lane_into(&env, &lanes[lane_i][start..end], out);
+            out.set_observed_ts(first, observed_ts);
+            return;
         }
         chunk_sets.resize_with(tasks.len().max(chunk_sets.len()), ProbeReplySet::new);
         for set in chunk_sets.iter_mut() {
             set.clear();
         }
+        let chunks = tasks.iter().zip(chunk_sets.iter_mut());
         if parallel {
-            let shards = &self.shards;
+            let (shards, env) = (&self.shards, &env);
             WorkerPool::global().scope(self.workers, |scope| {
-                for (&(lane_i, start, end), set) in tasks.iter().zip(chunk_sets.iter_mut()) {
-                    let lane = &lanes[lane_i];
-                    let shard = &shards[lane_i];
-                    scope.spawn(lane_i, move || {
-                        shard.probe_batch_prehashed_into(
-                            &lane.batch.as_slice()[start..end],
-                            &lane.states[start..end],
-                            query,
-                            &lane.bindings[start..end],
-                            set,
-                        );
-                    });
+                for (&(lane_i, start, end), set) in chunks {
+                    let (shard, chunk) = (&shards[lane_i], &lanes[lane_i][start..end]);
+                    scope.spawn(lane_i, move || shard.probe_lane_into(env, chunk, set));
                 }
             });
         } else {
-            for (&(lane_i, start, end), set) in tasks.iter().zip(chunk_sets.iter_mut()) {
-                let lane = &lanes[lane_i];
-                self.shards[lane_i].probe_batch_prehashed_into(
-                    &lane.batch.as_slice()[start..end],
-                    &lane.states[start..end],
-                    query,
-                    &lane.bindings[start..end],
-                    set,
-                );
+            for (&(lane_i, start, end), set) in chunks {
+                self.shards[lane_i].probe_lane_into(&env, &lanes[lane_i][start..end], set);
             }
         }
 
@@ -745,13 +703,10 @@ impl ShardedStem {
         // chunks hold its probes in batch order, so one task cursor per
         // lane suffices; replies move between arenas without
         // reallocating.
-        let observed_ts = self.max_ts();
         for &lane_opt in lane_of.iter() {
             match lane_opt {
                 Some(lane) => {
                     let meta = pull_reply(lane, tasks, cursors, chunk_sets, out);
-                    // The prober records the whole SteM's max timestamp,
-                    // not the one shard's.
                     out.push_meta(ReplyMeta {
                         observed_ts,
                         ..meta
@@ -766,18 +721,20 @@ impl ShardedStem {
                         raw_matches += meta.raw_matches;
                         match outcome {
                             None => outcome = Some(meta.outcome),
-                            // Bounce decisions depend only on broadcast
-                            // EOT state and AM flags — equal everywhere.
+                            // Bounce decisions depend only on the EOT
+                            // index and AM flags — equal in every shard.
                             Some(o) => debug_assert_eq!(o, meta.outcome),
                         }
                     }
-                    // Ascending build timestamp = global insertion order,
-                    // the single-shard candidate order (stable sort keeps
-                    // per-shard order for ties, though stored timestamps
-                    // are unique).
-                    out.results_tail_mut(start).sort_by_key(|(tup, _)| {
-                        tup.component(t).map(|c| c.ts).unwrap_or(UNBUILT_TS)
-                    });
+                    if n_lanes > 1 {
+                        // Ascending build timestamp = global insertion
+                        // order, the single-shard candidate order (stored
+                        // timestamps are unique). One lane is already in
+                        // its store's order.
+                        out.results_tail_mut(start).sort_by_key(|(tup, _)| {
+                            tup.component(t).map(|c| c.ts).unwrap_or(UNBUILT_TS)
+                        });
+                    }
                     out.push_meta(ReplyMeta {
                         outcome: outcome.expect("at least one lane"),
                         observed_ts,
@@ -793,15 +750,12 @@ impl ShardedStem {
     // Deferred release (Grace mode)
     // ------------------------------------------------------------------
 
-    /// Release withheld bounce-backs, clustered by hash partition;
-    /// mirrors [`Stem::release_deferred`]. The per-shard queues are
-    /// merged and sorted by `(bounce partition, build timestamp)` — the
-    /// scalar release is a *stable* partition sort over build order, so
-    /// the merged order is identical to the unsharded engine's.
+    /// Release withheld bounce-backs, clustered by hash partition (the
+    /// Grace "asynchronous" bounce, §3.1). Called by the engine when the
+    /// table's scan completes. The per-shard queues are merged and sorted
+    /// by `(bounce partition, build timestamp)` — a stable partition sort
+    /// over global build order.
     pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
-        if self.num_shards == 1 {
-            return self.shards[0].release_deferred();
-        }
         let mut all: Vec<(Tuple, TupleState)> = Vec::with_capacity(self.deferred_len());
         for shard in &mut self.shards {
             all.append(&mut shard.take_deferred());
@@ -847,7 +801,15 @@ mod tests {
     use crate::stem::{make_eot_row, make_scan_eot_row, ProbeOutcome, ProbeReply};
     use stems_catalog::{Catalog, ScanSpec, TableDef, TableInstance};
     use stems_storage::StoreKind;
-    use stems_types::{CmpOp, ColRef, ColumnType, PredId, Schema};
+    use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema};
+
+    /// Build one tuple as a one-member envelope.
+    fn build_tuple(stem: &mut ShardedStem, tuple: Tuple) -> BuildResult {
+        let mut ts = stem.max_ts();
+        stem.build_batch(&TupleBatch::single(tuple), &[TupleState::new()], &mut ts)
+            .pop()
+            .expect("one result per member")
+    }
 
     /// Probe one fresh tuple through the envelope path, as a scalar reply.
     fn probe_one(stem: &ShardedStem, tuple: &Tuple, q: &QuerySpec) -> ProbeReply {
@@ -1103,10 +1065,9 @@ mod tests {
             },
         );
         // Keyed EOT for x=10 covers only matching probes.
-        stem.build(
-            &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))])),
-            &TupleState::new(),
-            0,
+        build_tuple(
+            &mut stem,
+            Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))])),
         );
         assert_eq!(stem.eot_version(), 1);
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
@@ -1120,10 +1081,9 @@ mod tests {
             ProbeOutcome::Bounced(_)
         ));
         // Scan EOT covers everything, from any shard's perspective.
-        stem.build(
-            &Tuple::singleton(TableIdx(1), make_scan_eot_row(2)),
-            &TupleState::new(),
-            0,
+        build_tuple(
+            &mut stem,
+            Tuple::singleton(TableIdx(1), make_scan_eot_row(2)),
         );
         assert!(stem.scan_complete());
         assert_eq!(stem.eot_version(), 2);
@@ -1337,6 +1297,156 @@ mod tests {
             let p1 = probe_one(&one, &r, &q);
             let p4 = probe_one(&four, &r, &q);
             assert_eq!(p1.results, p4.results, "{store:?}");
+        }
+    }
+
+    /// A mixed-type key pool: ints, integral and fractional floats,
+    /// strings, bools and NULL (every equality-normalization edge a
+    /// stored row can carry).
+    fn random_key(rng: &mut stems_sim::SimRng) -> Value {
+        match rng.below(7) {
+            0 | 1 => Value::Int(rng.range_inclusive(0, 12)),
+            2 => Value::Float(rng.range_inclusive(0, 12) as f64), // coerces to Int
+            3 => Value::Float(rng.range_inclusive(0, 12) as f64 + 0.5),
+            4 => Value::str(["a", "b", "cc", "ddd"][rng.below(4) as usize]),
+            5 => Value::Bool(rng.below(2) == 0),
+            _ => Value::Null,
+        }
+    }
+
+    /// A reply's results with the build timestamp of S's component —
+    /// tuple equality ignores timestamps, so order and stamps are compared
+    /// through this view.
+    fn stamped_results(
+        results: &[(Tuple, stems_types::PredSet)],
+    ) -> Vec<(Timestamp, Tuple, stems_types::PredSet)> {
+        results
+            .iter()
+            .map(|(t, done)| (t.component(TableIdx(1)).unwrap().ts, t.clone(), *done))
+            .collect()
+    }
+
+    /// The envelope probe path at shard counts {1, 4} must agree with the
+    /// scalar reference [`Stem::probe`] of the one-shard SteM, reply for
+    /// reply — results, order, stamps, outcome, observed_ts, raw_matches —
+    /// on every backend and on mixed envelopes of keyed, NULL-keyed,
+    /// coercing and unbindable probes. Results compare as multisets only
+    /// for the Sorted backend at more than one shard: it orders candidates
+    /// by value, while the fan-out merge orders them by build timestamp.
+    #[test]
+    fn probe_batch_replies_equal_scalar_probe_replies() {
+        let mut c = Catalog::new();
+        let r = c
+            .add_table(TableDef::new(
+                "R",
+                Schema::of(&[("key", ColumnType::Int), ("a", ColumnType::Float)]),
+            ))
+            .unwrap();
+        let s = c
+            .add_table(TableDef::new(
+                "S",
+                Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]),
+            ))
+            .unwrap();
+        c.add_scan(r, ScanSpec::default()).unwrap();
+        c.add_scan(s, ScanSpec::default()).unwrap();
+        let tables = vec![
+            TableInstance {
+                source: r,
+                alias: "r".into(),
+            },
+            TableInstance {
+                source: s,
+                alias: "s".into(),
+            },
+        ];
+        let keyed = QuerySpec::new(
+            &c,
+            tables.clone(),
+            vec![Predicate::join(
+                PredId(0),
+                ColRef::new(TableIdx(0), 1),
+                CmpOp::Eq,
+                ColRef::new(TableIdx(1), 0),
+            )],
+            None,
+        )
+        .unwrap();
+        let cartesian = QuerySpec::new(&c, tables, vec![], None).unwrap();
+        let kinds = [
+            StoreKind::List,
+            StoreKind::Hash,
+            StoreKind::Adaptive { threshold: 16 },
+            StoreKind::Partitioned {
+                partitions: 4,
+                mem_resident: 1,
+            },
+            StoreKind::Sorted,
+        ];
+
+        for seed in 0..24u64 {
+            let mut rng = stems_sim::SimRng::new(0x9B0B ^ seed);
+            let rows: TupleBatch = (0..rng.below(60))
+                .map(|_| {
+                    let y = Value::Int(rng.range_inclusive(0, 5));
+                    Tuple::singleton_of(TableIdx(1), vec![random_key(&mut rng), y])
+                })
+                .collect();
+            let states = vec![TupleState::new(); rows.len()];
+            let probes: Vec<(Vec<Tuple>, &QuerySpec, &str)> =
+                [(&keyed, "keyed"), (&cartesian, "scan")]
+                    .into_iter()
+                    .map(|(q, label)| {
+                        let n = rng.below(40) + 1;
+                        let batch = (0..n)
+                            .map(|k| {
+                                let a = match rng.below(8) {
+                                    7 => Value::Eot,
+                                    _ => random_key(&mut rng),
+                                };
+                                Tuple::singleton_of(TableIdx(0), vec![Value::Int(k as i64), a])
+                                    .with_timestamp(TableIdx(0), 1_000 + k)
+                            })
+                            .collect();
+                        (batch, q, label)
+                    })
+                    .collect();
+            for kind in &kinds {
+                let opts = |num_shards| StemOptions {
+                    store: kind.clone(),
+                    num_shards,
+                    ..StemOptions::default()
+                };
+                let mut oracle = sharded(1, opts(1));
+                oracle.build_batch(&rows, &states, &mut 0);
+                for shards in [1usize, 4] {
+                    let mut stem = sharded(shards, opts(shards));
+                    stem.build_batch(&rows, &states, &mut 0);
+                    let multiset = matches!(kind, StoreKind::Sorted) && shards > 1;
+                    for (batch, q, label) in &probes {
+                        let ctx = format!("seed {seed} {kind:?} {shards} shards {label}");
+                        let pstates = vec![TupleState::new(); batch.len()];
+                        let mut replies = ProbeReplySet::new();
+                        stem.probe_batch_into(batch, &pstates, q, &mut replies);
+                        assert_eq!(replies.len(), batch.len(), "{ctx}");
+                        for ((tuple, state), (meta, results)) in
+                            batch.iter().zip(&pstates).zip(replies.iter())
+                        {
+                            let want = oracle.shards()[0].probe(tuple, state, q);
+                            let (mut want_rs, mut got_rs) =
+                                (stamped_results(&want.results), stamped_results(results));
+                            if multiset {
+                                want_rs.sort_by_key(|r| r.0);
+                                got_rs.sort_by_key(|r| r.0);
+                            }
+                            assert_eq!(want_rs, got_rs, "{ctx}: {tuple}");
+                            assert_eq!(want.outcome, meta.outcome, "{ctx}: {tuple}");
+                            assert_eq!(want.observed_ts, meta.observed_ts, "{ctx}: {tuple}");
+                            assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}: {tuple}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

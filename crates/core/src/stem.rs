@@ -1,20 +1,27 @@
 //! The State Module — a "half join" (paper §2.1.4).
 //!
-//! A SteM owns a dictionary of singleton tuples from one table instance and
-//! handles:
+//! A [`Stem`] is the dictionary of one shard of a SteM: singleton tuples
+//! from one table instance, plus the per-shard bookkeeping that the
+//! dictionary's contents decide:
 //!
-//! * **build** — insert with set-semantics duplicate absorption (§3.2) and
-//!   global timestamp assignment (§3.1); EOT tuples are built into an EOT
-//!   index that tracks which probes the SteM can answer *completely*;
+//! * **ingest** — insert with set-semantics duplicate absorption (§3.2);
+//!   the build timestamp (§3.1) is stamped in a second, globally ordered
+//!   pass, which also takes the bounce/defer decision. EOT tuples are
+//!   recorded in an EOT index that tracks which probes the SteM can
+//!   answer *completely*;
 //! * **probe** — find matches, concatenate, filter by the TimeStamp and
 //!   LastMatchTimeStamp rules, and decide whether to bounce the probe back
-//!   (SteM BounceBack, Table 2 + §3.3/§4.1);
-//! * **eviction** — optional FIFO window, the CACQ/PSoup-style extension
-//!   the paper describes for queries over unbounded streams (§2.3, §6);
-//! * **deferred clustered bounce-back** — the §3.1 "asynchronous hash
-//!   index" trick that makes routing simulate a Grace hash join: build
-//!   acknowledgements are withheld and later released clustered by hash
-//!   partition.
+//!   (SteM BounceBack, Table 2 + §3.3/§4.1). [`Stem::probe`] is the scalar
+//!   reference; the envelope pipeline answers a lane of probes at once;
+//! * **deferred bounce-backs** — the §3.1 "asynchronous hash index" trick
+//!   that makes routing simulate a Grace hash join: build acknowledgements
+//!   are withheld in a per-shard queue.
+//!
+//! What spans shards lives one layer up, in
+//! [`crate::sharded::ShardedStem`], at every shard count: routing rows and
+//! probes to shards, the optional FIFO eviction window (the CACQ/PSoup
+//! extension for unbounded streams, §2.3, §6), the clustered release of
+//! deferred bounce-backs, and the probe fan-out and merge.
 
 use crate::sync::{Arc, ScratchPool};
 use crate::tuple_state::{CompletionNeed, TupleState};
@@ -22,7 +29,7 @@ use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 use stems_storage::{index_key, CandidateBuf, DictStore, RowSet, StoreKind};
 use stems_types::{
-    HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
+    HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, Value, UNBUILT_TS,
 };
 
 /// A probe tuple's equality binding, resolved and hashed exactly once at
@@ -30,35 +37,49 @@ use stems_types::{
 /// `None` means the probe binds nothing and must scan.
 pub(crate) type ProbeBinding = Option<(usize, HashedKey)>;
 
-/// Reusable per-SteM probe scratch. Everything the batched probe path
-/// materializes per envelope — key groups, flat candidate arenas, plans —
-/// lives here and keeps its capacity across envelopes, so steady-state
-/// probing allocates nothing. Kept in a mutexed free-list on the SteM
-/// because probes run through `&self` and the sharded runtime may split
-/// one shard's probe lane into chunks serviced concurrently by several
-/// pool workers ([`crate::runtime::WorkerPool`]): each chunk checks a
-/// scratch out for its envelope and returns it after, so the lock is
-/// taken twice per envelope, never per tuple, and concurrent chunks
-/// never serialize on a shared buffer.
+/// Linking predicates per distinct probe span of one envelope (see
+/// [`linking_for`]).
+pub(crate) type SpanLinks<'q> = Vec<(TableSet, Vec<&'q stems_types::Predicate>)>;
+
+/// One probe envelope as the shard layer hands it to every shard it
+/// reaches: the caller's tuples and states, the envelope's span cache, and
+/// per tuple its span's index in that cache plus its equality binding —
+/// resolved and hashed once by
+/// [`crate::sharded::ShardedStem::probe_batch_into`]. A shard reads the
+/// members its lane names by index; nothing is copied.
+pub(crate) struct ProbeEnvelope<'a, 'q> {
+    pub(crate) batch: &'a [Tuple],
+    pub(crate) states: &'a [TupleState],
+    pub(crate) query: &'q QuerySpec,
+    pub(crate) links: &'a SpanLinks<'q>,
+    pub(crate) plans: &'a [(usize, ProbeBinding)],
+}
+
 /// Cap on the scratch free-list: a concurrency burst may check out many
 /// scratches at once, but only this many are kept when they come back —
 /// the rest are dropped so the pool's footprint tracks steady-state
 /// concurrency, not the historical high-water mark.
 const MAX_POOLED_SCRATCH: usize = 8;
 
+/// Reusable per-shard probe scratch. Everything the probe pipeline
+/// materializes per lane — key groups, flat candidate arenas, plans —
+/// lives here and keeps its capacity across envelopes, so steady-state
+/// probing allocates nothing. Kept in a mutexed free-list on the shard
+/// because probes run through `&self` and the shard layer may split one
+/// shard's probe lane into chunks serviced concurrently by several pool
+/// workers ([`crate::runtime::WorkerPool`]): each chunk checks a scratch
+/// out and returns it after, so the lock is taken twice per chunk, never
+/// per tuple, and concurrent chunks never serialize on a shared buffer.
 #[derive(Debug, Default)]
 struct ProbeScratch {
-    /// Distinct probe columns of the current envelope.
+    /// Distinct probe columns of the current lane.
     cols: Vec<usize>,
     /// Key list per column slot (capacity pooled across envelopes).
     keys: Vec<Vec<HashedKey>>,
     /// Flat candidate arena per column slot.
     bufs: Vec<CandidateBuf>,
-    /// Per tuple: span-cache index + optional (column slot, key slot).
-    plans: Vec<(usize, Option<(usize, usize)>)>,
-    /// Per tuple bindings, when this SteM computes them itself
-    /// ([`Stem::probe_batch_into`]; the sharded layer passes its own).
-    bindings: Vec<ProbeBinding>,
+    /// Per lane member: optional (column slot, key slot).
+    plans: Vec<Option<(usize, usize)>>,
 }
 
 /// Configuration of one SteM.
@@ -78,16 +99,16 @@ pub struct StemOptions {
     pub partitions: usize,
     pub mem_partitions: usize,
     /// Hash-partition shard fan-out of the SteM's dictionary
-    /// ([`crate::sharded::ShardedStem`]). `1` (the default) is the
-    /// unsharded scalar SteM; larger values split storage by join-key
-    /// hash so build/probe envelopes parallelize across threads. Values
-    /// are interpreted by `ShardedStem`; this `Stem` type itself is
-    /// always one shard.
+    /// ([`crate::sharded::ShardedStem`]). Every value runs the same build,
+    /// window, release and probe path; `1` (the default) keeps the whole
+    /// dictionary in one shard, larger values split it by join-key hash
+    /// (plus an overflow shard for un-hashable keys) so build/probe
+    /// envelopes parallelize across threads. A [`Stem`] is one shard.
     pub num_shards: usize,
     /// Worker-pool budget for this SteM's sharded envelope fan-outs.
     /// `None` (the default) inherits `ExecConfig::workers` (and thus
     /// `STEMS_WORKERS` / host parallelism); `Some(n)` pins this SteM's
-    /// budget — interpreted by `ShardedStem`, irrelevant at one shard.
+    /// budget — interpreted by `ShardedStem`.
     pub workers: Option<usize>,
     /// Minimum routed rows in one envelope before the sharded fan-out
     /// dispatches to the worker pool. `None` (the default) inherits
@@ -120,7 +141,8 @@ pub enum BuildResult {
     /// SteMs", Table 2).
     Fresh(Tuple),
     /// Inserted, but the bounce-back is withheld for clustered release
-    /// (Grace mode). The engine gets it later from [`Stem::release_deferred`].
+    /// (Grace mode). The engine gets it later from
+    /// [`ShardedStem::release_deferred`](crate::sharded::ShardedStem::release_deferred).
     Deferred,
     /// Absorbed as a set-semantics duplicate (§3.2) — removed from the
     /// dataflow.
@@ -175,8 +197,7 @@ pub struct ReplyMeta {
 /// per-tuple heap allocations** — the per-reply `Vec`s the old
 /// `Vec<ProbeReply>` API materialized are gone (`tests/alloc_probe.rs`
 /// pins this with a counting allocator). The sharded merge additionally
-/// moves replies *between* sets without reallocating
-/// ([`ProbeReplySet::take_results_into`]).
+/// moves replies *between* sets without reallocating.
 #[derive(Debug, Default)]
 pub struct ProbeReplySet {
     /// Flat result arena: each reply's results are contiguous.
@@ -264,6 +285,14 @@ impl ProbeReplySet {
         self.metas.len() - self.meta_cursor
     }
 
+    /// Overwrite the observed timestamp of every reply from index `from`
+    /// on (the shard layer reports the whole SteM's max build timestamp).
+    pub(crate) fn set_observed_ts(&mut self, from: usize, ts: Timestamp) {
+        for meta in &mut self.metas[from..] {
+            meta.observed_ts = ts;
+        }
+    }
+
     /// Mutable tail of the result arena from `start` — the sharded
     /// fan-out merge sorts a freshly merged reply's results in place.
     pub(crate) fn results_tail_mut(&mut self, start: usize) -> &mut [(Tuple, PredSet)] {
@@ -283,12 +312,15 @@ impl ProbeReplySet {
     }
 }
 
-/// A State Module over one table instance.
+/// One shard of a State Module over one table instance: the dictionary
+/// plus its dedup filter, timestamp map, EOT index, deferred queue and
+/// probe pipeline. The engine reaches it only through
+/// [`crate::sharded::ShardedStem`], which owns every cross-shard concern.
 ///
 /// Self-joins note: the paper shares one SteM per *source* across FROM
 /// instances; we share row storage via `Arc<Row>` but keep per-instance
 /// dictionaries, which preserves the memory-sharing benefit while keeping
-/// the timestamp bookkeeping per instance (see DESIGN.md).
+/// the timestamp bookkeeping per instance.
 pub struct Stem {
     pub instance: TableIdx,
     pub source: SourceId,
@@ -421,89 +453,69 @@ impl Stem {
         self.store.backend()
     }
 
-    /// Build a singleton tuple (or EOT tuple) into the SteM. `ts` is the
-    /// caller-supplied next global timestamp; it is consumed only on a
-    /// fresh insert.
-    pub fn build(&mut self, tuple: &Tuple, state: &TupleState, ts: Timestamp) -> BuildResult {
-        let mut counter = ts.saturating_sub(1);
-        let mut pending = Vec::new();
-        let result = self.build_inner(tuple, state, &mut counter, &mut pending);
-        self.store.insert_batch(pending);
-        self.apply_eviction();
-        result
+    // ------------------------------------------------------------------
+    // Build passes (driven by `crate::sharded::ShardedStem`)
+    //
+    // A build assigns global timestamps in batch order while the
+    // per-shard dictionary work may run on worker threads. The split:
+    // `ingest_batch` (per shard, possibly parallel — dedup + dictionary
+    // insert, no timestamps) followed by `stamp_fresh` (serial, global
+    // batch order — timestamping, bounce/defer decision). EOTs go to
+    // `record_eot` on every shard.
+    // ------------------------------------------------------------------
+
+    /// Record an EOT row in the EOT index: a keyed EOT marks its binding
+    /// set complete, a full-relation EOT the whole relation. EOTs consume
+    /// no timestamp and are not stored as data.
+    pub(crate) fn record_eot(&mut self, row: &Row) {
+        match eot_bindings(row) {
+            Some(bindings) => {
+                self.eot_keys.insert(bindings);
+            }
+            None => self.eot_full = true,
+        }
     }
 
-    /// Build a whole batch, consuming timestamps from `ts_counter` as
-    /// fresh inserts happen. Dedup, timestamping and bounce decisions stay
-    /// per tuple (intra-batch duplicates are absorbed exactly like
-    /// cross-batch ones); the dictionary insert is amortized through
-    /// [`DictStore::insert_batch`] and eviction runs once per batch.
-    pub fn build_batch(
-        &mut self,
-        batch: &TupleBatch,
-        states: &[TupleState],
-        ts_counter: &mut Timestamp,
-    ) -> Vec<BuildResult> {
-        debug_assert_eq!(batch.len(), states.len());
-        let mut pending = Vec::with_capacity(batch.len());
-        let out = batch
-            .iter()
-            .zip(states)
-            .map(|(tuple, state)| self.build_inner(tuple, state, ts_counter, &mut pending))
-            .collect();
-        self.store.insert_batch(pending);
-        self.apply_eviction();
-        out
+    /// Pass 1 of a build: set-semantics dedup plus the dictionary insert
+    /// for the (non-EOT) data rows of `batch` that `lane` names, in lane
+    /// order. Writes one flag per lane member into `fresh`: `true` for a
+    /// fresh insert, `false` for an absorbed duplicate (the
+    /// `duplicates_absorbed` counter is bumped here).
+    pub(crate) fn ingest_batch(&mut self, batch: &[Tuple], lane: &[usize], fresh: &mut Vec<bool>) {
+        fresh.clear();
+        for &i in lane {
+            let row = &batch[i].components()[0].row;
+            debug_assert!(!row.is_eot(), "EOT rows are recorded, not ingested");
+            let is_fresh = self.dedup.insert(row.clone());
+            if is_fresh {
+                self.store.insert(row.clone());
+            } else {
+                self.duplicates_absorbed += 1;
+            }
+            fresh.push(is_fresh);
+        }
     }
 
-    /// Everything `build` does except the dictionary insert (deferred to
-    /// the caller so batches go through one `insert_batch`) and eviction.
-    fn build_inner(
+    /// Pass 2 of a build: stamp one row `ingest_batch` reported fresh with
+    /// its globally-ordered timestamp and take the bounce/defer decision.
+    pub(crate) fn stamp_fresh(
         &mut self,
         tuple: &Tuple,
         state: &TupleState,
-        ts_counter: &mut Timestamp,
-        pending: &mut Vec<Arc<Row>>,
+        ts: Timestamp,
     ) -> BuildResult {
         debug_assert!(tuple.is_singleton(), "SteMs store singleton tuples only");
-        let comp = &tuple.components()[0];
-        debug_assert_eq!(comp.table, self.instance, "build routed to wrong SteM");
-        let row = comp.row.clone();
-
-        if row.is_eot() {
-            if let Some(bindings) = eot_bindings(&row) {
-                self.eot_keys.insert(bindings);
-            } else {
-                self.eot_full = true;
-            }
-            return BuildResult::Eot;
-        }
-
-        if !self.dedup.insert(row.clone()) {
-            self.duplicates_absorbed += 1;
-            return BuildResult::Duplicate;
-        }
-
-        let ts = *ts_counter + 1;
-        *ts_counter = ts;
-        let windowed = self.opts.eviction_window.is_some();
-        if windowed {
-            // Windowed SteMs must insert and evict per tuple: deferring
-            // the insert would let an intra-batch duplicate of a row that
-            // eviction should already have forgotten be wrongly absorbed.
-            self.store.insert(row.clone());
-        } else {
-            pending.push(row.clone());
-        }
+        debug_assert_eq!(
+            tuple.components()[0].table,
+            self.instance,
+            "build routed to wrong SteM"
+        );
+        let row = &tuple.components()[0].row;
         self.ts_of.insert(row.clone(), ts);
         self.max_ts = self.max_ts.max(ts);
         self.build_count += 1;
-        if windowed {
-            self.apply_eviction();
-        }
-
         let stamped = tuple.with_timestamp(self.instance, ts);
-        if self.opts.deferred_bounce && !self.partition_is_resident(&row) {
+        if self.opts.deferred_bounce && !self.partition_is_resident(row) {
             self.deferred.push((stamped, state.clone()));
             BuildResult::Deferred
         } else {
@@ -511,21 +523,10 @@ impl Stem {
         }
     }
 
-    /// FIFO-evict down to the configured window (no-op when unbounded).
-    fn apply_eviction(&mut self) {
-        if let Some(window) = self.opts.eviction_window {
-            while self.store.len() > window {
-                if !self.evict_oldest() {
-                    break;
-                }
-            }
-        }
-    }
-
     /// One FIFO eviction step: forget the oldest stored row in the store,
-    /// the dedup filter and the timestamp map together. Also the hook
-    /// [`crate::sharded::ShardedStem`] uses to run a *global* FIFO window
-    /// across shards (the globally oldest row is the one with the minimum
+    /// the dedup filter and the timestamp map together.
+    /// [`crate::sharded::ShardedStem`] runs the FIFO window across shards
+    /// with it (the globally oldest row is the one with the minimum
     /// [`Stem::oldest_ts`]).
     pub(crate) fn evict_oldest(&mut self) -> bool {
         if let Some(old) = self.store.oldest() {
@@ -540,7 +541,7 @@ impl Stem {
     }
 
     /// Build timestamp of the oldest stored row (`None` when empty) — the
-    /// cross-shard FIFO ordering key for windowed sharded SteMs.
+    /// cross-shard FIFO ordering key of the window.
     pub(crate) fn oldest_ts(&self) -> Option<Timestamp> {
         self.store
             .oldest()
@@ -554,23 +555,13 @@ impl Stem {
         self.partition_of(row) < self.opts.mem_partitions
     }
 
+    /// The deferred-bounce partition of a row (hash of the first join
+    /// column modulo [`StemOptions::partitions`]) — the clustering key of
+    /// the Grace release.
     pub(crate) fn partition_of(&self, row: &Row) -> usize {
         use std::hash::BuildHasher;
         let key = row.get(self.part_col).cloned().unwrap_or(Value::Null);
         (self.hasher.hash_one(&key) % self.opts.partitions.max(1) as u64) as usize
-    }
-
-    /// Release deferred bounce-backs, clustered by hash partition (the
-    /// Grace "asynchronous" bounce, §3.1). Called by the engine when the
-    /// table's scan completes, or when the policy asks for early release
-    /// (SHJ↔Grace hybridization).
-    pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
-        let mut out = std::mem::take(&mut self.deferred);
-        out.sort_by_key(|(t, _)| {
-            let row = &t.components()[0].row;
-            self.partition_of(row)
-        });
-        out
     }
 
     /// How many bounce-backs are currently withheld.
@@ -578,76 +569,11 @@ impl Stem {
         self.deferred.len()
     }
 
-    /// Drain the withheld bounce-backs *without* the clustering sort —
-    /// [`crate::sharded::ShardedStem`] merges the per-shard queues first
-    /// and clusters the union so the release order matches the unsharded
-    /// engine's exactly.
+    /// Drain the withheld bounce-backs in build order;
+    /// [`crate::sharded::ShardedStem::release_deferred`] merges every
+    /// shard's queue and clusters the union.
     pub(crate) fn take_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
         std::mem::take(&mut self.deferred)
-    }
-
-    // ------------------------------------------------------------------
-    // Sharding phase hooks (used by `crate::sharded::ShardedStem`)
-    //
-    // A sharded build must assign global timestamps in batch order while
-    // the per-shard dictionary work runs on worker threads. The split:
-    // `ingest_batch` (parallel per shard — dedup + dictionary insert,
-    // no timestamps) followed by `stamp_fresh` (serial, global batch
-    // order — timestamping, bounce/defer decision). Running the two
-    // phases back-to-back on one shard reproduces `build_batch` exactly;
-    // the unit suite below pins that equivalence.
-    // ------------------------------------------------------------------
-
-    /// Phase 1 of a sharded build: set-semantics dedup plus the dictionary
-    /// insert for the routed (non-EOT) data rows of one shard, in batch
-    /// order. Returns `true` per row for fresh inserts, `false` for
-    /// absorbed duplicates (the `duplicates_absorbed` counter is bumped
-    /// here). Windowed SteMs never take this path — eviction must
-    /// interleave with inserts per tuple, which is inherently serial.
-    pub(crate) fn ingest_batch(&mut self, rows: &[Arc<Row>]) -> Vec<bool> {
-        debug_assert!(
-            self.opts.eviction_window.is_none(),
-            "windowed SteMs must build serially"
-        );
-        let mut pending = Vec::with_capacity(rows.len());
-        let out = rows
-            .iter()
-            .map(|row| {
-                debug_assert!(!row.is_eot(), "EOT rows are handled by the shard layer");
-                if self.dedup.insert(row.clone()) {
-                    pending.push(row.clone());
-                    true
-                } else {
-                    self.duplicates_absorbed += 1;
-                    false
-                }
-            })
-            .collect();
-        self.store.insert_batch(pending);
-        out
-    }
-
-    /// Phase 2 of a sharded build: stamp one row `ingest_batch` reported
-    /// fresh with its globally-ordered timestamp and take the bounce/defer
-    /// decision — everything `build_inner` does after the dictionary
-    /// insert.
-    pub(crate) fn stamp_fresh(
-        &mut self,
-        tuple: &Tuple,
-        state: &TupleState,
-        ts: Timestamp,
-    ) -> BuildResult {
-        let row = &tuple.components()[0].row;
-        self.ts_of.insert(row.clone(), ts);
-        self.max_ts = self.max_ts.max(ts);
-        self.build_count += 1;
-        let stamped = tuple.with_timestamp(self.instance, ts);
-        if self.opts.deferred_bounce && !self.partition_is_resident(row) {
-            self.deferred.push((stamped, state.clone()));
-            BuildResult::Deferred
-        } else {
-            BuildResult::Fresh(stamped)
-        }
     }
 
     /// Probe the SteM with `tuple` (spanning tables other than this
@@ -694,134 +620,79 @@ impl Stem {
         set.into_single_reply()
     }
 
-    /// Probe a whole batch into the caller-owned reply arena, appending
-    /// one reply per tuple in batch order. The per-tuple semantics
-    /// (timestamp rules, predicate re-verification, bounce decisions) are
-    /// identical to [`Stem::probe`]; the amortization is in the fetch and
-    /// the reply path: linking predicates are resolved once per distinct
-    /// probe span, the newly-evaluable predicate set once per distinct
-    /// `(result span, donebits)` pair, every key is hashed exactly once
-    /// at this envelope boundary ([`HashedKey`]), all equality lookups on
-    /// one column go through a single [`DictStore::lookup_eq_flat`] index
-    /// descent into a reusable arena (duplicate keys share one candidate
-    /// span; unbindable probes share one scan snapshot), and results land
-    /// in `out`'s flat arena instead of per-reply `Vec`s.
-    pub fn probe_batch_into(
-        &self,
-        batch: &[Tuple],
-        states: &[TupleState],
-        query: &QuerySpec,
-        out: &mut ProbeReplySet,
-    ) {
-        debug_assert_eq!(batch.len(), states.len());
-        let t = self.instance;
-        let mut scratch = self.acquire_scratch();
-        // Hash-once boundary: resolve each tuple's equality binding and
-        // annotate its key here; nothing downstream re-hashes.
-        let mut bindings = std::mem::take(&mut scratch.bindings);
-        bindings.clear();
-        let mut spans: Vec<(TableSet, Vec<&stems_types::Predicate>)> = Vec::new();
-        for tuple in batch.iter() {
-            let li = linking_for(&mut spans, query, tuple.span(), t);
-            bindings.push(
-                equi_binding(&spans[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val))),
-            );
-        }
-        self.probe_with_scratch(batch, states, query, &bindings, &mut scratch, out);
-        scratch.bindings = bindings;
-        self.release_scratch(scratch);
-    }
-
-    /// Probe with bindings the caller already resolved and hashed —
-    /// [`crate::sharded::ShardedStem`] routes envelopes by these same
-    /// annotations, so the shard layer and the dictionary descent share
-    /// one hash computation per key. `batch` may be any sub-slice of a
-    /// routed lane: the sharded runtime chunks hot lanes across pool
+    /// The probe pipeline over one lane of an envelope: the members of
+    /// `env` that `lane` names, in lane order, appending one reply per
+    /// member to `out`. The per-tuple semantics (timestamp rules,
+    /// predicate re-verification, bounce decisions) are identical to
+    /// [`Stem::probe`]; the amortization is in the fetch and the reply
+    /// path: keys are grouped per column and every column's keys go
+    /// through a single [`DictStore::lookup_eq_flat`] index descent into
+    /// a reusable arena (the keys arrive hashed, duplicate keys share one
+    /// candidate span; unbindable probes share one scan snapshot), the
+    /// newly-evaluable predicate set is resolved once per distinct
+    /// `(result span, donebits)` pair, and results land in `out`'s flat
+    /// arena instead of per-reply `Vec`s. `lane` may be any sub-slice of
+    /// a routed lane: the shard layer chunks hot lanes across pool
     /// workers, each chunk probing with its own scratch and arena.
-    pub(crate) fn probe_batch_prehashed_into(
+    pub(crate) fn probe_lane_into(
         &self,
-        batch: &[Tuple],
-        states: &[TupleState],
-        query: &QuerySpec,
-        bindings: &[ProbeBinding],
+        env: &ProbeEnvelope<'_, '_>,
+        lane: &[usize],
         out: &mut ProbeReplySet,
     ) {
-        let mut scratch = self.acquire_scratch();
-        self.probe_with_scratch(batch, states, query, bindings, &mut scratch, out);
-        self.release_scratch(scratch);
-    }
-
-    /// The flat probe pipeline over one envelope: group keys per column,
-    /// one [`DictStore::lookup_eq_flat`] per column into the reusable
-    /// arenas, then per-tuple result formation over borrowed candidate
-    /// slices — semantically exactly the scalar path.
-    fn probe_with_scratch(
-        &self,
-        batch: &[Tuple],
-        states: &[TupleState],
-        query: &QuerySpec,
-        bindings: &[ProbeBinding],
-        scratch: &mut ProbeScratch,
-        out: &mut ProbeReplySet,
-    ) {
-        debug_assert_eq!(batch.len(), states.len());
-        debug_assert_eq!(batch.len(), bindings.len());
         let t = self.instance;
+        let query = env.query;
+        let mut scratch = self.acquire_scratch();
         let ProbeScratch {
             cols,
             keys,
             bufs,
             plans,
-            ..
-        } = scratch;
+        } = &mut *scratch;
         cols.clear();
         plans.clear();
 
-        // Linking predicates per distinct span (batches are usually
-        // span-uniform, so this is a one-entry cache).
-        let mut spans: Vec<(TableSet, Vec<&stems_types::Predicate>)> = Vec::new();
-
         // Pass 1: group the prehashed keys by column.
-        for (tuple, binding) in batch.iter().zip(bindings) {
-            let li = linking_for(&mut spans, query, tuple.span(), t);
-            let plan = binding.as_ref().map(|(col, key)| {
+        for &i in lane {
+            let plan = env.plans[i].1.as_ref().map(|(col, key)| {
                 let ci = match cols.iter().position(|c| c == col) {
-                    Some(i) => i,
+                    Some(ci) => ci,
                     None => {
                         cols.push(*col);
-                        let i = cols.len() - 1;
-                        if keys.len() <= i {
+                        let ci = cols.len() - 1;
+                        if keys.len() <= ci {
                             keys.push(Vec::new());
                             bufs.push(CandidateBuf::new());
                         }
-                        keys[i].clear();
-                        i
+                        keys[ci].clear();
+                        ci
                     }
                 };
                 keys[ci].push(key.clone());
                 (ci, keys[ci].len() - 1)
             });
-            plans.push((li, plan));
+            plans.push(plan);
         }
         // One flat descent per column: the store dedups identical keys and
         // reads the precomputed hashes, never re-hashing.
         for (ci, col) in cols.iter().enumerate() {
             self.store.lookup_eq_flat(*col, &keys[ci], &mut bufs[ci]);
         }
-        // Unbindable probes share one scan snapshot for the whole
-        // envelope instead of cloning the materialized scan per tuple.
+        // Unbindable probes share one scan snapshot for the whole lane
+        // instead of cloning the materialized scan per tuple.
         let mut full_scan: Option<Vec<Arc<Row>>> = None;
 
         // Span-level predicate cache: `newly_evaluable` is a pure
         // function of (result span, donebits), so resolve it once per
-        // distinct pair per envelope instead of per tuple (envelopes are
+        // distinct pair per lane instead of per tuple (envelopes are
         // usually span- and done-uniform, so this stays one entry). The
         // donebits union every surviving result carries is equally
         // uniform per pair and precomputed here.
         let mut evals: Vec<(TableSet, PredSet, Vec<&stems_types::Predicate>, PredSet)> = Vec::new();
 
         // Pass 2: per-tuple result formation, exactly the scalar path.
-        for ((tuple, state), (li, plan)) in batch.iter().zip(states).zip(plans.iter()) {
+        for (&i, plan) in lane.iter().zip(plans.iter()) {
+            let (tuple, state) = (&env.batch[i], &env.states[i]);
             let candidates: &[Arc<Row>] = match plan {
                 Some((ci, ki)) => bufs[*ci].candidates(*ki),
                 None => full_scan.get_or_insert_with(|| self.store.scan()),
@@ -831,7 +702,7 @@ impl Stem {
                 .iter()
                 .position(|(s, d, _, _)| *s == result_span && *d == state.done)
             {
-                Some(i) => i,
+                Some(ei) => ei,
                 None => {
                     let newly: Vec<&stems_types::Predicate> = query
                         .predicates
@@ -851,13 +722,14 @@ impl Stem {
                 tuple,
                 state,
                 query,
-                &spans[*li].1,
+                &env.links[env.plans[i].0].1,
                 newly,
                 *done_union,
                 candidates,
                 out,
             );
         }
+        self.release_scratch(scratch);
     }
 
     /// Shared probe tail: filter candidates by the timestamp rules,
@@ -1111,7 +983,7 @@ pub fn probe_bindings(
 /// lists are degenerate equalities and live in [`probe_bindings`]
 /// instead. Index AMs fan a probe out across these members (one lookup
 /// key per member, answered through the multi-key flat path), and
-/// [`Stem::covers`] requires every member's EOT before declaring the
+/// the SteM's coverage check requires every member's EOT before declaring the
 /// probe complete — the same rule `stems_catalog::feasible` applies, so
 /// a query admitted through a multi-member IN binding is actually
 /// probeable at runtime.
@@ -1141,12 +1013,12 @@ pub fn in_list_options(query: &QuerySpec, t: TableIdx) -> Vec<(usize, Vec<Value>
 }
 
 /// Resolve (and cache) the linking predicates for one probe span: the
-/// per-envelope span cache shared by the batched probe paths in [`Stem`]
-/// and [`crate::sharded::ShardedStem`]. Returns the span's index in
-/// `spans`; batches are usually span-uniform, so the cache stays one
+/// per-envelope span cache of [`crate::sharded::ShardedStem`]'s probe
+/// fan-out, which every shard's pipeline reads. Returns the span's index
+/// in `spans`; batches are usually span-uniform, so the cache stays one
 /// entry.
 pub(crate) fn linking_for<'q>(
-    spans: &mut Vec<(TableSet, Vec<&'q stems_types::Predicate>)>,
+    spans: &mut SpanLinks<'q>,
     query: &'q QuerySpec,
     span: TableSet,
     t: TableIdx,
@@ -1220,7 +1092,9 @@ pub fn make_scan_eot_row(arity: usize) -> Arc<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::ShardedStem;
     use stems_catalog::{Catalog, ScanSpec, TableDef, TableInstance};
+    use stems_types::TupleBatch;
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema};
 
     /// Two-table setup: R(key, a) ⋈ S(x, y) on R.a = S.x.
@@ -1264,14 +1138,27 @@ mod tests {
         (c, q)
     }
 
-    fn s_stem(has_scan: bool, has_index: bool) -> Stem {
-        Stem::new(
-            TableIdx(1),
-            SourceId(1),
-            &[0],
-            has_scan,
-            has_index,
-            StemOptions::default(),
+    /// A one-shard SteM over S with default options. Stem-level tests
+    /// build through the SteM's envelope path and probe the one shard
+    /// with the scalar reference [`Stem::probe`].
+    fn s_stem(has_scan: bool, has_index: bool) -> ShardedStem {
+        s_stem_with(has_scan, has_index, StemOptions::default())
+    }
+
+    fn s_stem_with(has_scan: bool, has_index: bool, opts: StemOptions) -> ShardedStem {
+        ShardedStem::new(TableIdx(1), SourceId(1), &[0], has_scan, has_index, opts)
+    }
+
+    /// A windowed SteM over S at `num_shards` shards.
+    fn windowed(window: usize, num_shards: usize) -> ShardedStem {
+        s_stem_with(
+            true,
+            false,
+            StemOptions {
+                eviction_window: Some(window),
+                num_shards,
+                ..StemOptions::default()
+            },
         )
     }
 
@@ -1283,11 +1170,27 @@ mod tests {
         Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), Value::Int(a)])
     }
 
-    fn build_fresh(stem: &mut Stem, t: &Tuple, ts: Timestamp) -> Tuple {
-        match stem.build(t, &TupleState::new(), ts) {
+    /// Build one tuple as a one-member envelope; `ts` is the timestamp a
+    /// fresh insert takes.
+    fn build(stem: &mut ShardedStem, t: &Tuple, ts: Timestamp) -> BuildResult {
+        let mut counter = ts.saturating_sub(1);
+        let batch = TupleBatch::single(t.clone());
+        stem.build_batch(&batch, &[TupleState::new()], &mut counter)
+            .pop()
+            .expect("one result per member")
+    }
+
+    fn build_fresh(stem: &mut ShardedStem, t: &Tuple, ts: Timestamp) -> Tuple {
+        match build(stem, t, ts) {
             BuildResult::Fresh(stamped) => stamped,
             other => panic!("expected Fresh, got {other:?}"),
         }
+    }
+
+    /// The scalar reference probe of a one-shard SteM.
+    fn probe(stem: &ShardedStem, t: &Tuple, state: &TupleState, q: &QuerySpec) -> ProbeReply {
+        assert_eq!(stem.num_shards(), 1, "the oracle reads the one shard");
+        stem.shards()[0].probe(t, state, q)
     }
 
     #[test]
@@ -1296,8 +1199,8 @@ mod tests {
         let stamped = build_fresh(&mut stem, &s_tuple(10, 1), 5);
         assert_eq!(stamped.timestamp(), 5);
         assert_eq!(stem.len(), 1);
-        assert_eq!(stem.max_ts, 5);
-        assert_eq!(stem.build_count, 1);
+        assert_eq!(stem.max_ts(), 5);
+        assert_eq!(stem.build_count(), 1);
     }
 
     #[test]
@@ -1305,12 +1208,12 @@ mod tests {
         let mut stem = s_stem(true, false);
         build_fresh(&mut stem, &s_tuple(10, 1), 1);
         // Same row value from a competing AM: absorbed (§3.2).
-        let r = stem.build(&s_tuple(10, 1), &TupleState::new(), 2);
+        let r = build(&mut stem, &s_tuple(10, 1), 2);
         assert_eq!(r, BuildResult::Duplicate);
         assert_eq!(stem.len(), 1);
-        assert_eq!(stem.duplicates_absorbed, 1);
+        assert_eq!(stem.duplicates_absorbed(), 1);
         // max_ts unchanged — the duplicate consumed no timestamp.
-        assert_eq!(stem.max_ts, 1);
+        assert_eq!(stem.max_ts(), 1);
     }
 
     #[test]
@@ -1321,7 +1224,7 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(20, 2), 2);
         // r (built later, ts 3) probes: matches only x=10.
         let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
+        let reply = probe(&stem, &r, &TupleState::new(), &q);
         assert_eq!(reply.results.len(), 1);
         let (result, done) = &reply.results[0];
         assert_eq!(result.span().len(), 2);
@@ -1337,7 +1240,7 @@ mod tests {
         // s tuple's own probe path is responsible for this result.
         build_fresh(&mut stem, &s_tuple(10, 1), 7);
         let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
+        let reply = probe(&stem, &r, &TupleState::new(), &q);
         assert!(reply.results.is_empty());
         assert_eq!(reply.raw_matches, 1);
     }
@@ -1349,7 +1252,7 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(10, 1), 7);
         // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
         let r = r_tuple(100, 10);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
+        let reply = probe(&stem, &r, &TupleState::new(), &q);
         assert_eq!(reply.results.len(), 1);
     }
 
@@ -1361,13 +1264,13 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(10, 2), 2);
         let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
         let mut state = TupleState::new();
-        let first = stem.probe(&r, &state, &q);
+        let first = probe(&stem, &r, &state, &q);
         assert_eq!(first.results.len(), 2);
         // Record observed ts, as the engine does on bounce.
         state.last_match_ts = first.observed_ts;
         // New tuple arrives, then re-probe: only the new one returned.
         build_fresh(&mut stem, &s_tuple(10, 3), 9);
-        let second = stem.probe(&r, &state, &q);
+        let second = probe(&stem, &r, &state, &q);
         assert_eq!(second.results.len(), 1);
         assert_eq!(
             second.results[0].0.value(TableIdx(1), 1),
@@ -1384,21 +1287,21 @@ mod tests {
         // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
         let stem = s_stem(true, false);
         assert_eq!(
-            stem.probe(&r_built, &state, &q).outcome,
+            probe(&stem, &r_built, &state, &q).outcome,
             ProbeOutcome::Consumed
         );
 
         // index AM present ⇒ optional bounce (§4.1 hybridization hook).
         let stem = s_stem(true, true);
         assert_eq!(
-            stem.probe(&r_built, &state, &q).outcome,
+            probe(&stem, &r_built, &state, &q).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Optional)
         );
 
         // no scan ⇒ required bounce (§3.3 index join flow).
         let stem = s_stem(false, true);
         assert_eq!(
-            stem.probe(&r_built, &state, &q).outcome,
+            probe(&stem, &r_built, &state, &q).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
 
@@ -1406,7 +1309,7 @@ mod tests {
         let stem = s_stem(true, false);
         let r_unbuilt = r_tuple(1, 10);
         assert_eq!(
-            stem.probe(&r_unbuilt, &state, &q).outcome,
+            probe(&stem, &r_unbuilt, &state, &q).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
     }
@@ -1416,16 +1319,16 @@ mod tests {
         let (_c, q) = setup();
         let mut stem = s_stem(false, true);
         let eot = Tuple::singleton(TableIdx(1), make_scan_eot_row(2));
-        assert_eq!(stem.build(&eot, &TupleState::new(), 99), BuildResult::Eot);
+        assert_eq!(build(&mut stem, &eot, 99), BuildResult::Eot);
         assert!(stem.scan_complete());
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            stem.probe(&r, &TupleState::new(), &q).outcome,
+            probe(&stem, &r, &TupleState::new(), &q).outcome,
             ProbeOutcome::Consumed
         );
         // EOT consumed no timestamp and is not a data row.
         assert_eq!(stem.len(), 0);
-        assert_eq!(stem.max_ts, 0);
+        assert_eq!(stem.max_ts(), 0);
     }
 
     #[test]
@@ -1434,16 +1337,16 @@ mod tests {
         let mut stem = s_stem(false, true);
         // Index answered bindings {x=10}: EOT row (10, EOT).
         let eot = Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))]));
-        stem.build(&eot, &TupleState::new(), 50);
+        build(&mut stem, &eot, 50);
         let state = TupleState::new();
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            stem.probe(&covered, &state, &q).outcome,
+            probe(&stem, &covered, &state, &q).outcome,
             ProbeOutcome::Consumed
         );
         let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
         assert_eq!(
-            stem.probe(&uncovered, &state, &q).outcome,
+            probe(&stem, &uncovered, &state, &q).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
     }
@@ -1471,28 +1374,31 @@ mod tests {
 
         // Nothing answered yet.
         assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
+            probe(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
         // Member 1 answered (the index AM binds the IN column and emits
         // one keyed EOT per member lookup): still incomplete — the
         // member-2 sub-probe has no coverage.
-        stem.build(
+        build(
+            &mut stem,
             &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(1, Value::Int(1))])),
-            &state,
             0,
         );
         assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
+            probe(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
         // Member 2 answered too: every sub-probe is covered now.
-        stem.build(
+        build(
+            &mut stem,
             &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(1, Value::Int(2))])),
-            &state,
             0,
         );
-        assert_eq!(stem.probe(&r, &state, &q2).outcome, ProbeOutcome::Consumed);
+        assert_eq!(
+            probe(&stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Consumed
+        );
     }
 
     #[test]
@@ -1521,23 +1427,26 @@ mod tests {
         let state = TupleState::new();
         let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
         for m in &members[..1499] {
-            stem.build(
+            build(
+                &mut stem,
                 &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, m.clone())])),
-                &state,
                 0,
             );
         }
         assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
+            probe(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required),
             "one member still unanswered"
         );
-        stem.build(
+        build(
+            &mut stem,
             &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, members[1499].clone())])),
-            &state,
             0,
         );
-        assert_eq!(stem.probe(&r, &state, &q2).outcome, ProbeOutcome::Consumed);
+        assert_eq!(
+            probe(&stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Consumed
+        );
     }
 
     #[test]
@@ -1565,30 +1474,33 @@ mod tests {
         let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
         let pairs = [(1, 5), (1, 6), (2, 5), (2, 6)];
         for (x, y) in &pairs[..3] {
-            stem.build(
+            build(
+                &mut stem,
                 &Tuple::singleton(
                     TableIdx(1),
                     // Arity-3 EOT row so a column stays EOT-marked.
                     make_eot_row(3, &[(0, Value::Int(*x)), (1, Value::Int(*y))]),
                 ),
-                &state,
                 0,
             );
         }
         assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
+            probe(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required),
             "one member pair still unanswered"
         );
-        stem.build(
+        build(
+            &mut stem,
             &Tuple::singleton(
                 TableIdx(1),
                 make_eot_row(3, &[(0, Value::Int(2)), (1, Value::Int(6))]),
             ),
-            &state,
             0,
         );
-        assert_eq!(stem.probe(&r, &state, &q2).outcome, ProbeOutcome::Consumed);
+        assert_eq!(
+            probe(&stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Consumed
+        );
     }
 
     #[test]
@@ -1619,14 +1531,14 @@ mod tests {
     fn probe_results_skip_eot_rows() {
         let (_c, q) = setup();
         let mut stem = s_stem(false, true);
-        stem.build(
+        build(
+            &mut stem,
             &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))])),
-            &TupleState::new(),
             1,
         );
         build_fresh(&mut stem, &s_tuple(10, 5), 2);
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
+        let reply = probe(&stem, &r, &TupleState::new(), &q);
         // Only the data row joins; the EOT "row" never appears in results.
         assert_eq!(reply.results.len(), 1);
         assert_eq!(
@@ -1637,20 +1549,18 @@ mod tests {
 
     #[test]
     fn eviction_window_fifo() {
-        let opts = StemOptions {
-            eviction_window: Some(2),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        build_fresh(&mut stem, &s_tuple(1, 1), 1);
-        build_fresh(&mut stem, &s_tuple(2, 2), 2);
-        build_fresh(&mut stem, &s_tuple(3, 3), 3);
-        assert_eq!(stem.len(), 2);
-        assert_eq!(stem.evictions, 1);
-        // Evicted row may re-enter (dedup forgot it).
-        match stem.build(&s_tuple(1, 1), &TupleState::new(), 4) {
-            BuildResult::Fresh(_) => {}
-            other => panic!("evicted row should rebuild, got {other:?}"),
+        for shards in [1usize, 4] {
+            let mut stem = windowed(2, shards);
+            build_fresh(&mut stem, &s_tuple(1, 1), 1);
+            build_fresh(&mut stem, &s_tuple(2, 2), 2);
+            build_fresh(&mut stem, &s_tuple(3, 3), 3);
+            assert_eq!(stem.len(), 2, "{shards} shards");
+            assert_eq!(stem.evictions(), 1, "{shards} shards");
+            // Evicted row may re-enter (dedup forgot it).
+            match build(&mut stem, &s_tuple(1, 1), 4) {
+                BuildResult::Fresh(_) => {}
+                other => panic!("{shards} shards: evicted row should rebuild, got {other:?}"),
+            }
         }
     }
 
@@ -1658,74 +1568,72 @@ mod tests {
     fn windowed_build_batch_matches_scalar_eviction() {
         // window=2, batch [r1, r2, r3, r1]: inserting r2/r3 evicts r1 and
         // forgets it, so the second r1 must re-enter as Fresh — exactly
-        // what per-tuple scalar builds do. A batch-deferred insert would
-        // wrongly absorb it as a duplicate.
-        let opts = StemOptions {
-            eviction_window: Some(2),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        let batch: TupleBatch = [s_tuple(1, 1), s_tuple(2, 2), s_tuple(3, 3), s_tuple(1, 1)]
-            .into_iter()
-            .collect();
-        let states = vec![TupleState::new(); 4];
-        let mut ts = 0;
-        let results = stem.build_batch(&batch, &states, &mut ts);
-        assert!(matches!(results[0], BuildResult::Fresh(_)));
-        assert!(matches!(results[1], BuildResult::Fresh(_)));
-        assert!(matches!(results[2], BuildResult::Fresh(_)));
-        assert!(
-            matches!(results[3], BuildResult::Fresh(_)),
-            "evicted row must rebuild mid-batch, got {:?}",
-            results[3]
-        );
-        assert_eq!(stem.len(), 2);
-        assert_eq!(stem.evictions, 2);
-        assert_eq!(ts, 4);
+        // what per-tuple builds do. A batch-deferred insert would wrongly
+        // absorb it as a duplicate.
+        for shards in [1usize, 4] {
+            let mut stem = windowed(2, shards);
+            let batch: TupleBatch = [s_tuple(1, 1), s_tuple(2, 2), s_tuple(3, 3), s_tuple(1, 1)]
+                .into_iter()
+                .collect();
+            let states = vec![TupleState::new(); 4];
+            let mut ts = 0;
+            let results = stem.build_batch(&batch, &states, &mut ts);
+            assert!(matches!(results[0], BuildResult::Fresh(_)));
+            assert!(matches!(results[1], BuildResult::Fresh(_)));
+            assert!(matches!(results[2], BuildResult::Fresh(_)));
+            assert!(
+                matches!(results[3], BuildResult::Fresh(_)),
+                "{shards} shards: evicted row must rebuild mid-batch, got {:?}",
+                results[3]
+            );
+            assert_eq!(stem.len(), 2, "{shards} shards");
+            assert_eq!(stem.evictions(), 2, "{shards} shards");
+            assert_eq!(ts, 4, "{shards} shards");
+        }
     }
 
-    /// The side maps (`dedup`, `ts_of`) and the store must agree on
-    /// membership and length — `Stem::apply_eviction` must sweep all
-    /// three together.
-    fn assert_side_maps_consistent(stem: &Stem) {
-        assert_eq!(stem.ts_of.len(), stem.store.len(), "ts_of vs store len");
-        assert_eq!(stem.dedup.len(), stem.store.len(), "dedup vs store len");
-        for row in stem.store.scan() {
-            assert!(
-                stem.ts_of.contains_key(&row),
-                "stored row missing from ts_of: {row:?}"
-            );
-            assert!(
-                stem.dedup.contains(&row),
-                "stored row missing from dedup: {row:?}"
-            );
+    /// The side maps (`dedup`, `ts_of`) and the store of every shard must
+    /// agree on membership and length — the window sweep must forget a
+    /// victim in all three together.
+    fn assert_side_maps_consistent(stem: &ShardedStem) {
+        for shard in stem.shards() {
+            assert_eq!(shard.ts_of.len(), shard.store.len(), "ts_of vs store len");
+            assert_eq!(shard.dedup.len(), shard.store.len(), "dedup vs store len");
+            for row in shard.store.scan() {
+                assert!(
+                    shard.ts_of.contains_key(&row),
+                    "stored row missing from ts_of: {row:?}"
+                );
+                assert!(
+                    shard.dedup.contains(&row),
+                    "stored row missing from dedup: {row:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn windowed_side_maps_stay_consistent_across_sweeps() {
-        let opts = StemOptions {
-            eviction_window: Some(3),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        // Drive far past the window, with duplicates interleaved, so many
-        // sweeps run; the maps must agree after every build.
-        for i in 0..40i64 {
-            let key = i % 10;
-            stem.build(&s_tuple(key, key), &TupleState::new(), (i + 1) as u64);
+        for shards in [1usize, 4] {
+            let mut stem = windowed(3, shards);
+            // Drive far past the window, with duplicates interleaved, so
+            // many sweeps run; the maps must agree after every build.
+            for i in 0..40i64 {
+                let key = i % 10;
+                build(&mut stem, &s_tuple(key, key), (i + 1) as u64);
+                assert_side_maps_consistent(&stem);
+                assert!(stem.len() <= 3, "{shards} shards: window overrun at i={i}");
+            }
+            assert!(stem.evictions() > 0);
+            // An evicted row must be forgotten everywhere: it rebuilds
+            // Fresh, and the maps stay in step.
+            let victim = s_tuple(0, 0);
+            assert!(matches!(
+                build(&mut stem, &victim, 99),
+                BuildResult::Fresh(_)
+            ));
             assert_side_maps_consistent(&stem);
-            assert!(stem.len() <= 3, "window overrun at i={i}");
         }
-        assert!(stem.evictions > 0);
-        // An evicted row must be forgotten everywhere: it rebuilds Fresh,
-        // and the maps stay in step.
-        let victim = s_tuple(0, 0);
-        assert!(matches!(
-            stem.build(&victim, &TupleState::new(), 99),
-            BuildResult::Fresh(_)
-        ));
-        assert_side_maps_consistent(&stem);
     }
 
     #[test]
@@ -1734,41 +1642,46 @@ mod tests {
         // and must forget it in `dedup` and `ts_of`; the first re-arrival
         // rebuilds Fresh (and re-enters both maps), the second is a true
         // duplicate again. After the sweep, store/dedup/ts_of agree.
-        let opts = StemOptions {
-            eviction_window: Some(2),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        let batch: TupleBatch = [
-            s_tuple(1, 1),
-            s_tuple(2, 2),
-            s_tuple(3, 3),
-            s_tuple(1, 1),
-            s_tuple(1, 1),
-        ]
-        .into_iter()
-        .collect();
-        let states = vec![TupleState::new(); 5];
-        let mut ts = 0;
-        let results = stem.build_batch(&batch, &states, &mut ts);
-        assert!(matches!(results[3], BuildResult::Fresh(_)));
-        assert_eq!(results[4], BuildResult::Duplicate);
-        assert_side_maps_consistent(&stem);
-        assert_eq!(stem.len(), 2);
-        // The re-built r1 carries its *new* timestamp in ts_of.
-        let r1 = s_tuple(1, 1);
-        let ts_r1 = *stem.ts_of.get(&r1.components()[0].row).expect("r1 stored");
-        assert_eq!(ts_r1, 4, "re-arrival must be re-stamped, not stale");
+        for shards in [1usize, 4] {
+            let mut stem = windowed(2, shards);
+            let batch: TupleBatch = [
+                s_tuple(1, 1),
+                s_tuple(2, 2),
+                s_tuple(3, 3),
+                s_tuple(1, 1),
+                s_tuple(1, 1),
+            ]
+            .into_iter()
+            .collect();
+            let states = vec![TupleState::new(); 5];
+            let mut ts = 0;
+            let results = stem.build_batch(&batch, &states, &mut ts);
+            assert!(
+                matches!(results[3], BuildResult::Fresh(_)),
+                "{shards} shards"
+            );
+            assert_eq!(results[4], BuildResult::Duplicate, "{shards} shards");
+            assert_side_maps_consistent(&stem);
+            assert_eq!(stem.len(), 2, "{shards} shards");
+            // The re-built r1 carries its *new* timestamp in ts_of.
+            let r1 = s_tuple(1, 1);
+            let ts_r1 = stem
+                .shards()
+                .iter()
+                .find_map(|shard| shard.ts_of.get(&r1.components()[0].row))
+                .expect("r1 stored");
+            assert_eq!(*ts_r1, 4, "{shards} shards: re-arrival must be re-stamped");
+        }
     }
 
     #[test]
     fn unbounded_stem_side_maps_consistent() {
         let mut stem = s_stem(true, false);
         for i in 0..10 {
-            stem.build(&s_tuple(i, i), &TupleState::new(), (i + 1) as u64);
+            build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
         }
         // Duplicates leave the maps untouched.
-        stem.build(&s_tuple(3, 3), &TupleState::new(), 50);
+        build(&mut stem, &s_tuple(3, 3), 50);
         assert_side_maps_consistent(&stem);
         assert_eq!(stem.len(), 10);
     }
@@ -1780,9 +1693,9 @@ mod tests {
             partitions: 4,
             ..StemOptions::default()
         };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
+        let mut stem = s_stem_with(true, false, opts);
         for i in 0..20 {
-            let r = stem.build(&s_tuple(i, i), &TupleState::new(), (i + 1) as u64);
+            let r = build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
             assert_eq!(r, BuildResult::Deferred);
         }
         assert_eq!(stem.deferred_len(), 20);
@@ -1792,7 +1705,7 @@ mod tests {
         // Released order is clustered: partition ids are non-decreasing.
         let parts: Vec<usize> = released
             .iter()
-            .map(|(t, _)| stem.partition_of(&t.components()[0].row))
+            .map(|(t, _)| stem.shards()[0].partition_of(&t.components()[0].row))
             .collect();
         let mut sorted = parts.clone();
         sorted.sort_unstable();
@@ -1807,11 +1720,11 @@ mod tests {
             mem_partitions: 1,
             ..StemOptions::default()
         };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
+        let mut stem = s_stem_with(true, false, opts);
         let mut fresh = 0;
         let mut deferred = 0;
         for i in 0..50 {
-            match stem.build(&s_tuple(i, i), &TupleState::new(), (i + 1) as u64) {
+            match build(&mut stem, &s_tuple(i, i), (i + 1) as u64) {
                 BuildResult::Fresh(_) => fresh += 1,
                 BuildResult::Deferred => deferred += 1,
                 other => panic!("unexpected {other:?}"),
@@ -1839,7 +1752,7 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
         build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
-        let reply = stem.probe(&r, &TupleState::new(), &q2);
+        let reply = probe(&stem, &r, &TupleState::new(), &q2);
         assert_eq!(reply.results.len(), 1);
         let (tup, done) = &reply.results[0];
         assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
@@ -1855,59 +1768,8 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(10, 1), 1);
         build_fresh(&mut stem, &s_tuple(20, 2), 2);
         let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 5);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
+        let reply = probe(&stem, &r, &TupleState::new(), &q);
         assert_eq!(reply.results.len(), 2);
-    }
-
-    /// The sharding phase split (`ingest_batch` then `stamp_fresh` in
-    /// batch order) must reproduce `build_batch` exactly on one shard —
-    /// same results, same timestamps, same counters, same side maps.
-    #[test]
-    fn phase_split_build_equals_build_batch() {
-        let tuples: Vec<Tuple> = (0..20)
-            .map(|i| s_tuple(i % 7, i))
-            .chain(std::iter::once(s_tuple(3, 3)))
-            .collect();
-        let batch: TupleBatch = tuples.iter().cloned().collect();
-        let states = vec![TupleState::new(); batch.len()];
-
-        let mut whole = s_stem(true, false);
-        let mut ts_whole = 0;
-        let expected = whole.build_batch(&batch, &states, &mut ts_whole);
-
-        let mut phased = s_stem(true, false);
-        let rows: Vec<Arc<Row>> = tuples
-            .iter()
-            .map(|t| t.components()[0].row.clone())
-            .collect();
-        let fresh = phased.ingest_batch(&rows);
-        let mut ts_phased = 0;
-        let got: Vec<BuildResult> = tuples
-            .iter()
-            .zip(&states)
-            .zip(&fresh)
-            .map(|((tuple, state), fresh)| {
-                if *fresh {
-                    ts_phased += 1;
-                    phased.stamp_fresh(tuple, state, ts_phased)
-                } else {
-                    BuildResult::Duplicate
-                }
-            })
-            .collect();
-
-        assert_eq!(expected, got);
-        assert_eq!(ts_whole, ts_phased);
-        assert_eq!(whole.len(), phased.len());
-        assert_eq!(whole.max_ts, phased.max_ts);
-        assert_eq!(whole.build_count, phased.build_count);
-        assert_eq!(whole.duplicates_absorbed, phased.duplicates_absorbed);
-        for (a, b) in expected.iter().zip(&got) {
-            if let (BuildResult::Fresh(x), BuildResult::Fresh(y)) = (a, b) {
-                assert_eq!(x.timestamp(), y.timestamp());
-            }
-        }
-        assert_side_maps_consistent(&phased);
     }
 
     #[test]
@@ -1916,19 +1778,19 @@ mod tests {
         for i in 0..4 {
             build_fresh(&mut stem, &s_tuple(i, i), (i + 1) as u64);
         }
-        assert_eq!(stem.oldest_ts(), Some(1));
-        assert!(stem.evict_oldest());
-        assert_eq!(stem.oldest_ts(), Some(2));
+        assert_eq!(stem.shards()[0].oldest_ts(), Some(1));
+        assert!(stem.shard_mut(0).evict_oldest());
+        assert_eq!(stem.shards()[0].oldest_ts(), Some(2));
         assert_eq!(stem.len(), 3);
-        assert_eq!(stem.evictions, 1);
+        assert_eq!(stem.evictions(), 1);
         assert_side_maps_consistent(&stem);
         // The evicted row was forgotten everywhere: it can rebuild fresh.
         assert!(matches!(
-            stem.build(&s_tuple(0, 0), &TupleState::new(), 9),
+            build(&mut stem, &s_tuple(0, 0), 9),
             BuildResult::Fresh(_)
         ));
-        while stem.evict_oldest() {}
-        assert_eq!(stem.oldest_ts(), None);
+        while stem.shard_mut(0).evict_oldest() {}
+        assert_eq!(stem.shards()[0].oldest_ts(), None);
         assert!(stem.is_empty());
     }
 
@@ -2014,7 +1876,7 @@ mod tests {
         )
         .unwrap();
 
-        let mut stem = Stem::new(
+        let mut stem = ShardedStem::new(
             TableIdx(1),
             Src(1),
             &[0, 1],
@@ -2058,7 +1920,7 @@ mod tests {
         assert_eq!(batched.len(), probes.len());
         let mut seen_results = 0usize;
         for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter()) {
-            let want = stem.probe(tuple, state, &q);
+            let want = probe(&stem, tuple, state, &q);
             assert_eq!(want.results, results, "probe {tuple}");
             assert_eq!(want.outcome, meta.outcome, "probe {tuple}");
             assert_eq!(want.observed_ts, meta.observed_ts, "probe {tuple}");
@@ -2074,15 +1936,15 @@ mod tests {
         // A burst of concurrent probers checks out far more scratches than
         // the cap, then returns them all.
         let burst: Vec<_> = (0..4 * MAX_POOLED_SCRATCH)
-            .map(|_| stem.acquire_scratch())
+            .map(|_| stem.shards()[0].acquire_scratch())
             .collect();
         for scratch in burst {
-            stem.release_scratch(scratch);
+            stem.shards()[0].release_scratch(scratch);
         }
+        let pooled = stem.shards()[0].pooled_scratches();
         assert!(
-            stem.pooled_scratches() <= MAX_POOLED_SCRATCH,
-            "free-list kept {} scratches, cap is {MAX_POOLED_SCRATCH}",
-            stem.pooled_scratches()
+            pooled <= MAX_POOLED_SCRATCH,
+            "free-list kept {pooled} scratches, cap is {MAX_POOLED_SCRATCH}"
         );
     }
 
@@ -2094,10 +1956,12 @@ mod tests {
         // Poison the scratch mutex: panic while holding the free-list
         // lock (the unwinding drop marks it poisoned).
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stem.scratch.with_slots(|_| panic!("prober died mid-probe"));
+            stem.shards()[0]
+                .scratch
+                .with_slots(|_| panic!("prober died mid-probe"));
         }));
         assert!(result.is_err());
-        assert!(stem.scratch.is_poisoned());
+        assert!(stem.shards()[0].scratch.is_poisoned());
         // A later query's probe must still succeed — the pool discards the
         // poisoned free-list instead of propagating the panic. The batch
         // path is the one that checks scratch out of the pool.
@@ -2105,7 +1969,10 @@ mod tests {
         let mut out = ProbeReplySet::new();
         stem.probe_batch_into(&[r], &[TupleState::new()], &q, &mut out);
         assert_eq!(out.results.len(), 1);
-        assert!(!stem.scratch.is_poisoned(), "poison mark must be cleared");
+        assert!(
+            !stem.shards()[0].scratch.is_poisoned(),
+            "poison mark must be cleared"
+        );
     }
 
     #[test]
@@ -2117,18 +1984,22 @@ mod tests {
         let (_c, q) = setup();
         let mut stem = s_stem(true, false);
         build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        let held = stem.acquire_scratch();
+        let held = stem.shards()[0].acquire_scratch();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stem.scratch
+            stem.shards()[0]
+                .scratch
                 .with_slots(|_| panic!("sibling chunk died mid-envelope"));
         }));
         assert!(result.is_err());
-        assert!(stem.scratch.is_poisoned());
+        assert!(stem.shards()[0].scratch.is_poisoned());
         // The surviving chunk finishes its envelope and returns its
         // scratch: release goes through poison recovery and re-pools it.
-        stem.release_scratch(held);
-        assert!(!stem.scratch.is_poisoned(), "release must clear poison");
-        assert_eq!(stem.pooled_scratches(), 1);
+        stem.shards()[0].release_scratch(held);
+        assert!(
+            !stem.shards()[0].scratch.is_poisoned(),
+            "release must clear poison"
+        );
+        assert_eq!(stem.shards()[0].pooled_scratches(), 1);
         let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
         let mut out = ProbeReplySet::new();
         stem.probe_batch_into(&[r], &[TupleState::new()], &q, &mut out);
@@ -2152,7 +2023,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.scope(2, |scope| {
                 scope.spawn(0, move || {
-                    stem_ref
+                    stem_ref.shards()[0]
                         .scratch
                         .with_slots(|_| panic!("worker died holding the free-list"));
                 });
@@ -2160,12 +2031,12 @@ mod tests {
                     // Concurrent envelope: checkout → probe → release,
                     // racing the sibling's poisoning. Must complete
                     // whether it runs before, during, or after.
-                    let scratch = stem_ref.acquire_scratch();
+                    let scratch = stem_ref.shards()[0].acquire_scratch();
                     let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
                     let mut out = ProbeReplySet::new();
                     stem_ref.probe_batch_into(&[r], &[TupleState::new()], q_ref, &mut out);
                     assert_eq!(out.results.len(), 1);
-                    stem_ref.release_scratch(scratch);
+                    stem_ref.shards()[0].release_scratch(scratch);
                 });
             });
         }));
@@ -2176,7 +2047,7 @@ mod tests {
         let mut out = ProbeReplySet::new();
         stem.probe_batch_into(&[r], &[TupleState::new()], &q, &mut out);
         assert_eq!(out.results.len(), 1);
-        assert!(!stem.scratch.is_poisoned());
+        assert!(!stem.shards()[0].scratch.is_poisoned());
     }
 
     use stems_types::TableSet;

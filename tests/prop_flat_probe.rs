@@ -6,14 +6,14 @@
 //! inverting the hash's multiply-rotate mixing).
 //!
 //! Cases are generated from the workspace's own seeded [`SimRng`] so the
-//! suite is dependency-free and fully reproducible.
+//! suite is dependency-free and fully reproducible. The SteM-level
+//! counterpart — envelope probes at several shard counts against the
+//! scalar `Stem::probe` — is a unit test of `stems_core::sharded`.
 
 use std::sync::Arc;
-use stems::core::stem::{ProbeReplySet, Stem, StemOptions};
-use stems::core::TupleState;
 use stems::sim::SimRng;
 use stems::storage::{CandidateBuf, DictStore, StoreKind};
-use stems::types::{HashedKey, Row, TableIdx, Tuple, Value};
+use stems::types::{HashedKey, Row, Value};
 
 fn kinds() -> [StoreKind; 5] {
     [
@@ -158,97 +158,6 @@ fn hash_collisions_resolve_by_value_on_every_backend() {
                 for b in &rows_float {
                     assert!(!Arc::ptr_eq(a, b), "collision leaked rows across keys");
                 }
-            }
-        }
-    }
-}
-
-/// The SteM's batched probe pipeline must agree with its scalar probe,
-/// reply for reply — results, order, outcome, observed_ts, raw_matches —
-/// on mixed envelopes of keyed, NULL-keyed, coercing and unbindable
-/// probes. (The engine-level equivalence suites cover this end to end;
-/// this pins the module API directly.)
-#[test]
-fn probe_batch_replies_equal_scalar_probe_replies() {
-    use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
-    use stems::types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema};
-
-    let mut c = Catalog::new();
-    let r = c
-        .add_table(TableDef::new(
-            "R",
-            Schema::of(&[("key", ColumnType::Int), ("a", ColumnType::Float)]),
-        ))
-        .unwrap();
-    let s = c
-        .add_table(TableDef::new(
-            "S",
-            Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]),
-        ))
-        .unwrap();
-    c.add_scan(r, ScanSpec::default()).unwrap();
-    c.add_scan(s, ScanSpec::default()).unwrap();
-    let query = QuerySpec::new(
-        &c,
-        vec![
-            TableInstance {
-                source: r,
-                alias: "r".into(),
-            },
-            TableInstance {
-                source: s,
-                alias: "s".into(),
-            },
-        ],
-        vec![Predicate::join(
-            PredId(0),
-            ColRef::new(TableIdx(0), 1),
-            CmpOp::Eq,
-            ColRef::new(TableIdx(1), 0),
-        )],
-        None,
-    )
-    .unwrap();
-    let cartesian = QuerySpec::new(&c, query.tables.clone(), vec![], None).unwrap();
-
-    for seed in 0..24u64 {
-        let mut rng = SimRng::new(0x9B0B ^ seed);
-        let mut stem = Stem::new(
-            TableIdx(1),
-            SourceId(1),
-            &[0],
-            true,
-            false,
-            StemOptions::default(),
-        );
-        for ts in 1..=rng.below(60) {
-            let x = random_value(&mut rng);
-            let x = if x.is_eot() { Value::Null } else { x };
-            let t =
-                Tuple::singleton_of(TableIdx(1), vec![x, Value::Int(rng.range_inclusive(0, 5))]);
-            stem.build(&t, &TupleState::new(), ts);
-        }
-        for (q, label) in [(&query, "keyed"), (&cartesian, "scan")] {
-            let probes: Vec<Tuple> = (0..rng.below(40) + 1)
-                .map(|k| {
-                    Tuple::singleton_of(
-                        TableIdx(0),
-                        vec![Value::Int(k as i64), random_value(&mut rng)],
-                    )
-                    .with_timestamp(TableIdx(0), 1_000 + k)
-                })
-                .collect();
-            let states = vec![TupleState::new(); probes.len()];
-            let mut batched = ProbeReplySet::new();
-            stem.probe_batch_into(&probes, &states, q, &mut batched);
-            assert_eq!(batched.len(), probes.len(), "seed {seed} {label}");
-            for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
-            {
-                let want = stem.probe(tuple, state, q);
-                assert_eq!(want.results, results, "seed {seed} {label}");
-                assert_eq!(want.outcome, meta.outcome, "seed {seed} {label}");
-                assert_eq!(want.observed_ts, meta.observed_ts, "seed {seed} {label}");
-                assert_eq!(want.raw_matches, meta.raw_matches, "seed {seed} {label}");
             }
         }
     }
